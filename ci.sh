@@ -12,9 +12,12 @@
 #   --preset tsan      Debug build under ThreadSanitizer, running only the
 #                      genuinely multi-threaded surface: the two-stream
 #                      scheduler (dist_overlap_test), the common/parallel.h
-#                      worker pool (gemm_test), and the heartbeat/timeout
+#                      worker pool (parallel_test: nested, concurrent and
+#                      throwing loops; gemm_test: packing and tile blocks
+#                      split across the pool), and the heartbeat/timeout
 #                      watcher thread (fault_tolerance_test). Everything
-#                      else is single-threaded and would only slow the lane.
+#                      else only runs its loops through the same pool and
+#                      would only slow the lane.
 #   --smoke full       Everything the preset covers (default).
 #   --smoke tp         Tensor-parallel smoke lane: builds everything, runs
 #                      the TP test binary, and (release only) runs fig_tp
@@ -91,7 +94,7 @@ if [ "$PRESET" = tsan ]; then
   # The TSan lane pins its scope to the threaded surface regardless of the
   # smoke flavour — single-threaded tests under TSan are pure slowdown.
   ctest --output-on-failure --timeout 600 --no-tests=error \
-    -R 'dist_overlap_test|gemm_test|fault_tolerance_test'
+    -R 'dist_overlap_test|^parallel_test$|gemm_test|fault_tolerance_test'
 elif [ "$SMOKE" = tp ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R tensor_parallel_test
 elif [ "$SMOKE" = pp ]; then

@@ -320,15 +320,21 @@ def check_fig_obs():
              f"within 1% (got {cov['coverage']:.6f})")
 
     # Overhead: instrumentation must never touch the simulated clock, and
-    # its host-side cost must stay under 1% of a step.
+    # its host-side cost must stay under 1% of a step with 95% confidence:
+    # the gate is the upper confidence bound over many paired on/off blocks,
+    # not a point estimate that host noise can push either way.
     for r in by_section["overhead"]:
-        require(r, ("steps", "sim_step_us_enabled", "sim_step_us_disabled",
+        require(r, ("steps", "blocks", "sim_step_us_enabled", "sim_step_us_disabled",
                     "sim_delta_us", "host_step_us_enabled",
-                    "host_step_us_disabled", "overhead_pct"), "fig_obs.overhead")
+                    "host_step_us_disabled", "overhead_pct", "overhead_pct_ucb"),
+                "fig_obs.overhead")
         if r["sim_delta_us"] != 0:
             fail(f"fig_obs: metrics changed the simulated step time: {r}")
-        if not r["overhead_pct"] < 1.0:
-            fail(f"fig_obs: instrumentation overhead >= 1% of a step: {r}")
+        if r["blocks"] < 100:
+            fail(f"fig_obs: too few paired blocks for a confidence bound: {r}")
+        if not r["overhead_pct_ucb"] < 1.0:
+            fail("fig_obs: instrumentation overhead's 95% upper bound >= 1% of "
+                 f"a step: {r}")
 
 
 def check_fig_page():

@@ -79,6 +79,10 @@ class Session {
 #else
   obs::MetricsRegistry* metrics() const { return cfg_.metrics; }
 #endif
+  /// Attach a registry (or detach it with null) between steps; the next
+  /// step records into it. bench/fig_obs.cc alternates the two to time the
+  /// instrumentation on one rig.
+  void set_metrics(obs::MetricsRegistry* metrics) { cfg_.metrics = metrics; }
 
   /// Permanent memory (parameters, gradients, optimizer state).
   BufferAllocator* param_alloc() { return param_alloc_.get(); }

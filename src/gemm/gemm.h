@@ -6,7 +6,13 @@
 // baselines — calls these same routines, so GEMM time is common-mode in all
 // comparisons, exactly as on real hardware.
 //
-// All matrices are row-major. C = alpha * op(A) @ op(B) + beta * C.
+// All matrices are row-major. C = alpha * op(A) @ op(B) + beta * C, with a
+// bitwise contract per element of C: start from 0 (beta == 0), C (beta ==
+// 1) or beta * C; then for p ascending, av = alpha * A[i,p] is skipped when
+// it is zero and otherwise av * B[p,j] is added — one rounded multiply and
+// one rounded add per term. Results never depend on the thread count.
+// Incremental decode relies on this for bitwise parity with a full forward
+// (DESIGN.md §2 "Host execution", §6).
 #pragma once
 
 #include <cstdint>
@@ -15,17 +21,19 @@
 
 namespace ls2::gemm {
 
-/// FP32 GEMM, cache-blocked and thread-parallel.
+/// FP32 GEMM: packed operands, register-tiled, split across the host pool.
 void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
            const float* a, const float* b, float beta, float* c);
 
-/// Strided batched FP32 GEMM (cublasSgemmStridedBatched analogue).
+/// Strided batched FP32 GEMM (cublasSgemmStridedBatched analogue). Batches
+/// with disjoint C run in parallel; overlapping C runs them in order.
 void sgemm_strided_batched(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                            float alpha, const float* a, int64_t stride_a, const float* b,
                            int64_t stride_b, float beta, float* c, int64_t stride_c,
                            int64_t batch);
 
-/// FP16-storage GEMM with FP32 accumulation (tensor-core discipline).
+/// FP16-storage GEMM with FP32 accumulation (tensor-core discipline): A, B
+/// and C are widened exactly, C is rounded to FP16 once at the end.
 void hgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
            const Half* a, const Half* b, float beta, Half* c);
 

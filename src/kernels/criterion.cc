@@ -27,7 +27,7 @@ void ce_fw_body(const Tensor& logits, const Tensor& targets, const Tensor& loss,
   const int32_t* tp = targets.data<int32_t>();
   float* lossp = loss.data<float>();
   float* sp = stats.data<float>();
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, V, [&](int64_t r) {
     const int32_t k = tp[r];
     if (k == ignore_index) {
       lossp[r] = 0.0f;
@@ -67,7 +67,7 @@ void ce_bw_body(const Tensor& logits, const Tensor& targets, const Tensor& stats
   const float* sp = stats.data<float>();
   T* dp = dlogits.data<T>();
   const float off = alpha / static_cast<float>(V);
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, V, [&](int64_t r) {
     const int32_t k = tp[r];
     const T* row = lp + r * V;
     T* drow = dp + r * V;

@@ -1,5 +1,6 @@
 #include "kernels/elementwise.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -366,10 +367,17 @@ void bias_grad(KernelContext& kc, const Tensor& dx, const Tensor& dbias) {
       // slices (pipeline parallelism): slice j continues exactly where
       // slice j-1 left off, so the final value is bitwise the full-batch
       // reduction's. Callers rely on grads being zeroed at step start.
-      parallel_for(0, cols, [&](int64_t j) {
-        float acc = static_cast<float>(dbp[j]);
-        for (int64_t i = 0; i < rows; ++i) acc += static_cast<float>(dxp[i * cols + j]);
-        dbp[j] = T(acc);
+      // Rows are walked in memory order with a block of column accumulators.
+      parallel_for(0, column_blocks(cols), rows * kColumnBlock, [&](int64_t blk) {
+        const int64_t j0 = blk * kColumnBlock;
+        const int64_t w = std::min(kColumnBlock, cols - j0);
+        float acc[kColumnBlock];
+        for (int64_t j = 0; j < w; ++j) acc[j] = static_cast<float>(dbp[j0 + j]);
+        for (int64_t i = 0; i < rows; ++i) {
+          const T* row = dxp + i * cols + j0;
+          for (int64_t j = 0; j < w; ++j) acc[j] += static_cast<float>(row[j]);
+        }
+        for (int64_t j = 0; j < w; ++j) dbp[j0 + j] = T(acc[j]);
       });
     });
   });

@@ -48,7 +48,7 @@ void embedding_fw_body(const Tensor& ids, const Tensor& emb, const Tensor& pos,
   T* yp = y.data<T>();
   uint8_t* mp = mask.data<uint8_t>();
   const float keep_scale = 1.0f / (1.0f - p);
-  parallel_for(0, tokens, [&](int64_t t) {
+  parallel_for(0, tokens, H, [&](int64_t t) {
     const int32_t w = idp[t];
     const int64_t l = t % L;
     T* yrow = yp + t * H;
@@ -164,7 +164,7 @@ void embedding_decode_body(const Tensor& ids, const Tensor& emb, const Tensor& p
   const T* ep = emb.data<T>();
   const T* pp = pos.data<T>();
   T* yp = y.data<T>();
-  parallel_for(0, S, [&](int64_t s) {
+  parallel_for(0, S, H, [&](int64_t s) {
     const int32_t w = idp[s];
     T* yrow = yp + s * H;
     if (w == pad_id) {

@@ -70,6 +70,12 @@ struct KernelContext {
       LS2_CHECK(false) << "kernel requires a floating dtype";            \
   }
 
+/// Column reductions on the host (bias and LayerNorm parameter grads) walk
+/// rows in memory order, keeping FP32 accumulators for a block of this many
+/// columns; one block is one unit of parallel work.
+constexpr int64_t kColumnBlock = 32;
+inline int64_t column_blocks(int64_t cols) { return (cols + kColumnBlock - 1) / kColumnBlock; }
+
 /// Achieved-bandwidth model for row-reduction kernels (LayerNorm, Softmax,
 /// criterion). `threads_per_row` is the parallelisation strategy; efficiency
 /// degrades when threads outnumber row elements (idle lanes) or when too few

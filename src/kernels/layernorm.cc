@@ -59,7 +59,7 @@ void compute_stats(const Tensor& x, const Tensor& mean, const Tensor& rstd, floa
   const T* xp = x.data<T>();
   float* mp = mean.data<float>();
   float* rp = rstd.data<float>();
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     // Single pass: accumulate E[x] and E[x^2] together (the paper's
     // rewrite); f32 accumulators guard the cancellation in E[x^2]-E[x]^2.
     double s = 0, s2 = 0;
@@ -86,7 +86,7 @@ void compute_normalize(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   T* yp = y.data<T>();
   const float* mp = mean.data<float>();
   const float* rp = rstd.data<float>();
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     const float mu = mp[r], rs = rp[r];
     const T* xrow = xp + r * cols;
     T* yrow = yp + r * cols;
@@ -109,7 +109,7 @@ void compute_dx(const Tensor& dy, const Tensor& x, const Tensor& gamma, const Te
   const float* rp = rstd.data<float>();
   T* dxp = dx.data<T>();
   const double m = static_cast<double>(cols);
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     const T* dyrow = dyp + r * cols;
     const T* xrow = xp + r * cols;
     T* dxrow = dxp + r * cols;
@@ -151,18 +151,31 @@ void compute_param_grads(const Tensor& dy, const Tensor& x, const Tensor& mean,
   // FP32 accumulation FROM the destination, ascending rows: microbatch
   // slices (pipeline parallelism) continue the exact chain the full batch
   // would run, so the accumulated grads are bitwise identical. Grads are
-  // zeroed at step start, like the beta=1 dW GEMMs.
-  parallel_for(0, cols, [&](int64_t j) {
-    float dg = static_cast<float>(dgp[j]), db = static_cast<float>(dbp[j]);
-    for (int64_t r = 0; r < rows; ++r) {
-      const float dyv = static_cast<float>(dyp[r * cols + j]);
-      const float xhat =
-          (static_cast<float>(xp[r * cols + j]) - mp[r]) * rp[r];
-      dg += dyv * xhat;
-      db += dyv;
+  // zeroed at step start, like the beta=1 dW GEMMs. Rows are walked in
+  // memory order with a block of column accumulators.
+  parallel_for(0, column_blocks(cols), rows * kColumnBlock, [&](int64_t blk) {
+    const int64_t j0 = blk * kColumnBlock;
+    const int64_t w = std::min(kColumnBlock, cols - j0);
+    float dg[kColumnBlock], db[kColumnBlock];
+    for (int64_t j = 0; j < w; ++j) {
+      dg[j] = static_cast<float>(dgp[j0 + j]);
+      db[j] = static_cast<float>(dbp[j0 + j]);
     }
-    dgp[j] = T(dg);
-    dbp[j] = T(db);
+    for (int64_t r = 0; r < rows; ++r) {
+      const T* dyrow = dyp + r * cols + j0;
+      const T* xrow = xp + r * cols + j0;
+      const float mu = mp[r], rs = rp[r];
+      for (int64_t j = 0; j < w; ++j) {
+        const float dyv = static_cast<float>(dyrow[j]);
+        const float xhat = (static_cast<float>(xrow[j]) - mu) * rs;
+        dg[j] += dyv * xhat;
+        db[j] += dyv;
+      }
+    }
+    for (int64_t j = 0; j < w; ++j) {
+      dgp[j0 + j] = T(dg[j]);
+      dbp[j0 + j] = T(db[j]);
+    }
   });
 }
 

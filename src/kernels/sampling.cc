@@ -26,7 +26,7 @@ void argmax_body(const Tensor& logits, const Tensor& out) {
   const int64_t rows = flat[0], cols = flat[1];
   const T* lp = logits.data<T>();
   int32_t* op = out.data<int32_t>();
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     const T* row = lp + r * cols;
     int64_t best = 0;
     float best_v = static_cast<float>(row[0]);
@@ -49,7 +49,7 @@ void sample_body(const Tensor& logits, const Tensor& out, int64_t k, float tempe
   const T* lp = logits.data<T>();
   int32_t* op = out.data<int32_t>();
   const float inv_t = 1.0f / temperature;
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     const T* row = lp + r * cols;
     // Top-k threshold: the k-th largest logit (keep everything >= it).
     float threshold = -std::numeric_limits<float>::infinity();

@@ -131,7 +131,7 @@ void softmax_body(const Tensor& x, const Tensor& y) {
   const int64_t rows = flat[0], cols = flat[1];
   const T* xp = x.data<T>();
   T* yp = y.data<T>();
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     const T* xrow = xp + r * cols;
     T* yrow = yp + r * cols;
     float mx = -std::numeric_limits<float>::infinity();
@@ -151,7 +151,7 @@ void softmax_bw_body(const Tensor& dy, const Tensor& y, const Tensor& dx) {
   const T* dyp = dy.data<T>();
   const T* yp = y.data<T>();
   T* dxp = dx.data<T>();
-  parallel_for(0, rows, [&](int64_t r) {
+  parallel_for(0, rows, cols, [&](int64_t r) {
     const T* dyrow = dyp + r * cols;
     const T* yrow = yp + r * cols;
     T* dxrow = dxp + r * cols;
@@ -176,7 +176,7 @@ void attn_softmax_body(const Tensor& x, const Tensor& y, bool causal,
   if (lens) {
     LS2_CHECK_EQ(key_lens->numel(), B);
   }
-  parallel_for(0, B * N * Lq, [&](int64_t r) {
+  parallel_for(0, B * N * Lq, Lk, [&](int64_t r) {
     const int64_t b = r / (N * Lq);
     const int64_t q = r % Lq;
     int64_t valid = lens ? std::min<int64_t>(lens[b], Lk) : Lk;

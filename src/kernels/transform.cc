@@ -32,7 +32,7 @@ void split_body(const Tensor& x, const Tensor* bias, const std::vector<Tensor>& 
   const int64_t H = N * D;
   const T* xp = x.data<T>();
   const T* bp = bias ? bias->data<T>() : nullptr;
-  parallel_for(0, B * L, [&](int64_t bl) {
+  parallel_for(0, B * L, G * H, [&](int64_t bl) {
     const int64_t b = bl / L, l = bl % L;
     const T* xrow = xp + bl * G * H;
     for (int64_t g = 0; g < G; ++g) {
@@ -56,7 +56,7 @@ void merge_body(const std::vector<Tensor>& ins, const Tensor& dx) {
   const int64_t G = static_cast<int64_t>(ins.size());
   const int64_t H = N * D;
   T* xp = dx.data<T>();
-  parallel_for(0, B * L, [&](int64_t bl) {
+  parallel_for(0, B * L, G * H, [&](int64_t bl) {
     const int64_t b = bl / L, l = bl % L;
     T* xrow = xp + bl * G * H;
     for (int64_t g = 0; g < G; ++g) {
@@ -166,7 +166,7 @@ void kv_scatter_body(const Tensor& src, const Tensor& cache, const Tensor* slot_
   const int32_t* pp = positions ? positions->data<int32_t>() : nullptr;
   const T* xp = src.data<T>();
   T* cp = cache.data<T>();
-  parallel_for(0, src.shape()[0] * N, [&](int64_t bn) {
+  parallel_for(0, src.shape()[0] * N, Lq * D, [&](int64_t bn) {
     const int64_t b = bn / N, n = bn % N;
     const int64_t slot = sp ? sp[b] : b;
     const int64_t start = pp ? pp[b] : 0;
@@ -240,7 +240,7 @@ void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& 
     LS2_CHECK(pg >= 0 && pg < pool_pages) << "kv pool: page id out of range";
     return cp + ((pg * N + n) * page + pos % page) * D;
   };
-  parallel_for(0, src.shape()[0] * N, [&](int64_t bn) {
+  parallel_for(0, src.shape()[0] * N, Lq * D, [&](int64_t bn) {
     const int64_t b = bn / N, n = bn % N;
     const int64_t lane = lanes ? lanes[b] : b;
     LS2_CHECK(lane >= 0 && lane < table.shape()[0]) << "kv pool: lane out of range";
@@ -316,7 +316,7 @@ void kv_gather_body(const Tensor& pool, const Tensor& table, const Tensor& lens,
   const T* cp = pool.data<T>();
   T* op = out.data<T>();
   std::memset(static_cast<void*>(op), 0, out.bytes());
-  parallel_for(0, out.shape()[0] * N, [&](int64_t sn) {
+  parallel_for(0, out.shape()[0] * N, Lcap * D, [&](int64_t sn) {
     const int64_t s = sn / N, n = sn % N;
     const int64_t len = lp[s];
     LS2_CHECK(len >= 0 && len <= Lcap) << "kv gather: len " << len
@@ -408,7 +408,7 @@ void kv_page_copy(KernelContext& kc, Impl impl, const Tensor& k_pool, const Tens
     LS2_DISPATCH_FLOAT(k_pool.dtype(), T, {
       for (const Tensor* pool : {&k_pool, &v_pool}) {
         T* cp = pool->data<T>();
-        parallel_for(0, N, [&](int64_t n) {
+        parallel_for(0, N, rows * D, [&](int64_t n) {
           std::memcpy(cp + ((dst_page * N + n) * page) * D,
                       cp + ((src_page * N + n) * page) * D,
                       static_cast<size_t>(rows * D) * sizeof(T));

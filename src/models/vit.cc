@@ -25,7 +25,7 @@ void vit_embed_body(const Tensor& proj, const Tensor& bias, const Tensor& cls_to
   T* yp = y.data<T>();
   uint8_t* mp = mask.data<uint8_t>();
   const float keep_scale = 1.0f / (1.0f - p);
-  parallel_for(0, B * S, [&](int64_t bs) {
+  parallel_for(0, B * S, H, [&](int64_t bs) {
     const int64_t b = bs / S, s = bs % S;
     T* yrow = yp + bs * H;
     uint8_t* mrow = mp + bs * H;

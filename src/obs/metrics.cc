@@ -106,15 +106,29 @@ void Histogram::reset() {
   max_ = 0;
 }
 
-int64_t& MetricsRegistry::counter(const std::string& name) { return counters_[name]; }
+namespace {
 
-double& MetricsRegistry::gauge(const std::string& name) { return gauges_[name]; }
-
-Histogram& MetricsRegistry::histogram(const std::string& name, HistogramConfig cfg) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_.emplace(name, Histogram(cfg)).first;
+// The entry for `name`, created from `make()` on first use. Finding an
+// existing entry allocates nothing.
+template <typename V, typename Make>
+V& find_or_add(MetricsRegistry::NameMap<V>& map, std::string_view name, const Make& make) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.emplace(std::string(name), make()).first;
   return it->second;
+}
+
+}  // namespace
+
+int64_t& MetricsRegistry::counter(std::string_view name) {
+  return find_or_add(counters_, name, [] { return int64_t{0}; });
+}
+
+double& MetricsRegistry::gauge(std::string_view name) {
+  return find_or_add(gauges_, name, [] { return 0.0; });
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name, HistogramConfig cfg) {
+  return find_or_add(histograms_, name, [&] { return Histogram(cfg); });
 }
 
 void MetricsRegistry::set_label(const std::string& key, const std::string& value) {

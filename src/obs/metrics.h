@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ls2::obs {
@@ -91,26 +93,30 @@ class Histogram {
 /// event loops that feed it never race.
 class MetricsRegistry {
  public:
+  /// Name-ordered map; lookups by string_view allocate nothing.
+  template <typename V>
+  using NameMap = std::map<std::string, V, std::less<>>;
+
   /// Counter: monotonically increasing int64. The returned reference is
   /// stable for the registry's lifetime — cache it on hot paths.
-  int64_t& counter(const std::string& name);
+  int64_t& counter(std::string_view name);
   /// Gauge: a settable double (current value of something).
-  double& gauge(const std::string& name);
+  double& gauge(std::string_view name);
   /// Streaming histogram; the config is applied on first use only.
-  Histogram& histogram(const std::string& name, HistogramConfig cfg = {});
+  Histogram& histogram(std::string_view name, HistogramConfig cfg = {});
 
-  bool has_counter(const std::string& name) const { return counters_.count(name) > 0; }
-  bool has_gauge(const std::string& name) const { return gauges_.count(name) > 0; }
-  bool has_histogram(const std::string& name) const { return histograms_.count(name) > 0; }
+  bool has_counter(std::string_view name) const { return counters_.count(name) > 0; }
+  bool has_gauge(std::string_view name) const { return gauges_.count(name) > 0; }
+  bool has_histogram(std::string_view name) const { return histograms_.count(name) > 0; }
 
   /// Constant labels stamped on every exposition line (rank/replica
   /// attribution: set_label("replica", "2")).
   void set_label(const std::string& key, const std::string& value);
 
-  const std::map<std::string, int64_t>& counters() const { return counters_; }
-  const std::map<std::string, double>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const { return histograms_; }
-  const std::map<std::string, std::string>& labels() const { return labels_; }
+  const NameMap<int64_t>& counters() const { return counters_; }
+  const NameMap<double>& gauges() const { return gauges_; }
+  const NameMap<Histogram>& histograms() const { return histograms_; }
+  const NameMap<std::string>& labels() const { return labels_; }
 
   /// Deterministic JSON snapshot: labels, counters, gauges, and per-
   /// histogram {count,sum,min,max,p50,p90,p99,buckets} with every non-zero
@@ -126,10 +132,10 @@ class MetricsRegistry {
   void clear();
 
  private:
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
-  std::map<std::string, std::string> labels_;
+  NameMap<int64_t> counters_;
+  NameMap<double> gauges_;
+  NameMap<Histogram> histograms_;
+  NameMap<std::string> labels_;
 };
 
 }  // namespace ls2::obs

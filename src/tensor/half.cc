@@ -1,79 +1,8 @@
 #include "tensor/half.h"
 
-#include <cstring>
-
 #include "common/parallel.h"
 
 namespace ls2 {
-
-uint16_t float_to_half_bits(float f) {
-  uint32_t x;
-  std::memcpy(&x, &f, sizeof(x));
-  const uint32_t sign = (x >> 16) & 0x8000u;
-  x &= 0x7fffffffu;
-
-  // NaN / Inf.
-  if (x >= 0x7f800000u) {
-    if (x > 0x7f800000u) return static_cast<uint16_t>(sign | 0x7e00u);  // qNaN
-    return static_cast<uint16_t>(sign | 0x7c00u);                       // Inf
-  }
-  // Overflow to Inf: anything >= 2^16 * (1 - 2^-11) rounds to Inf.
-  if (x >= 0x47800000u) return static_cast<uint16_t>(sign | 0x7c00u);
-
-  // Normal range for half: exponent >= -14.
-  if (x >= 0x38800000u) {
-    // Rebias exponent from 127 to 15, keep 10 mantissa bits with RNE.
-    const uint32_t mant = x & 0x007fffffu;
-    const uint32_t exp = (x >> 23) - 112;  // 127 - 15
-    uint32_t half = (exp << 10) | (mant >> 13);
-    const uint32_t rem = mant & 0x1fffu;
-    // Round to nearest even.
-    if (rem > 0x1000u || (rem == 0x1000u && (half & 1u))) half += 1;
-    return static_cast<uint16_t>(sign | half);
-  }
-  // Subnormal half range: values that round to mant * 2^-24, mant in [1,1023].
-  if (x >= 0x33000000u) {
-    // For f = m * 2^e (m in [1,2), e = exp-127 in [-25,-15]) the subnormal
-    // mantissa is round(m * 2^(e+24)) = mant_full >> (126 - exp) with RNE.
-    const int shift = 126 - static_cast<int>(x >> 23);  // 14..24
-    const uint32_t mant = (x & 0x007fffffu) | 0x00800000u;  // implicit 1
-    uint32_t half = mant >> shift;
-    const uint32_t rem = mant & ((1u << shift) - 1);
-    const uint32_t halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (half & 1u))) half += 1;
-    return static_cast<uint16_t>(sign | half);
-  }
-  // Underflow to signed zero.
-  return static_cast<uint16_t>(sign);
-}
-
-float half_bits_to_float(uint16_t h) {
-  const uint32_t sign = (static_cast<uint32_t>(h) & 0x8000u) << 16;
-  const uint32_t exp = (h >> 10) & 0x1fu;
-  const uint32_t mant = h & 0x3ffu;
-  uint32_t x;
-  if (exp == 0) {
-    if (mant == 0) {
-      x = sign;  // zero
-    } else {
-      // Subnormal: normalise.
-      int e = -1;
-      uint32_t m = mant;
-      do {
-        ++e;
-        m <<= 1;
-      } while ((m & 0x400u) == 0);
-      x = sign | ((127 - 15 - e) << 23) | ((m & 0x3ffu) << 13);
-    }
-  } else if (exp == 0x1f) {
-    x = sign | 0x7f800000u | (mant << 13);  // Inf / NaN
-  } else {
-    x = sign | ((exp + 112) << 23) | (mant << 13);
-  }
-  float f;
-  std::memcpy(&f, &x, sizeof(f));
-  return f;
-}
 
 void convert_float_to_half(const float* src, Half* dst, int64_t n) {
   parallel_for(0, n, [&](int64_t i) { dst[i].bits = float_to_half_bits(src[i]); });

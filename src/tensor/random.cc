@@ -37,7 +37,12 @@ int64_t Rng::randint(uint64_t stream, uint64_t index, int64_t n) const {
   return static_cast<int64_t>(bits(stream, index) % static_cast<uint64_t>(n));
 }
 
+// The fills skip tensors without real backing (kModelOnly parameters): the
+// copy would discard the values, and every value is a pure function of
+// (seed, stream, index), so skipping draws nothing from later fills.
+
 void Rng::fill_uniform(const Tensor& t, uint64_t stream, float lo, float hi) const {
+  if (!t.backs_real_memory()) return;
   const int64_t n = t.numel();
   std::vector<float> host(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i)
@@ -46,6 +51,7 @@ void Rng::fill_uniform(const Tensor& t, uint64_t stream, float lo, float hi) con
 }
 
 void Rng::fill_normal(const Tensor& t, uint64_t stream, float mean, float stddev) const {
+  if (!t.backs_real_memory()) return;
   const int64_t n = t.numel();
   std::vector<float> host(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i)
@@ -55,6 +61,7 @@ void Rng::fill_normal(const Tensor& t, uint64_t stream, float mean, float stddev
 
 void Rng::fill_randint(const Tensor& t, uint64_t stream, int64_t lo, int64_t hi) const {
   LS2_CHECK_LT(lo, hi);
+  if (!t.backs_real_memory()) return;
   const int64_t n = t.numel();
   std::vector<float> host(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i)

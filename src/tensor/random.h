@@ -33,7 +33,8 @@ class Rng {
   /// Integer in [0, n).
   int64_t randint(uint64_t stream, uint64_t index, int64_t n) const;
 
-  // --- Tensor fills (host-side initialisation; not device kernels) ---
+  // --- Tensor fills (host-side initialisation; not device kernels). A
+  // tensor without real backing (kModelOnly) is left untouched. ---
   void fill_uniform(const Tensor& t, uint64_t stream, float lo, float hi) const;
   void fill_normal(const Tensor& t, uint64_t stream, float mean, float stddev) const;
   void fill_randint(const Tensor& t, uint64_t stream, int64_t lo, int64_t hi) const;

@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "common/parallel.h"
 #include "layers/layer_context.h"
 
 namespace ls2::data {
@@ -161,18 +160,6 @@ TEST(PadLengthTest, PolicyPadding) {
   EXPECT_EQ(layers::pad_length(layers::policy_for(layers::System::kDeepSpeed), 33), 48);
   EXPECT_EQ(layers::pad_length(layers::policy_for(layers::System::kDeepSpeed), 48), 48);
   EXPECT_EQ(layers::pad_length(layers::policy_for(layers::System::kLightSeq2), 33), 33);
-}
-
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> hits(10000);
-  parallel_for(0, 10000, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Chunk variant: disjoint coverage.
-  std::vector<std::atomic<int>> hits2(10000);
-  parallel_for_chunks(0, 10000, 128, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) hits2[static_cast<size_t>(i)]++;
-  });
-  for (const auto& h : hits2) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "gemm/gemm_device.h"
 #include "simgpu/profile.h"
 #include "tensor/random.h"
@@ -93,6 +98,217 @@ TEST(HgemmTest, MatchesFloatWithinHalfPrecision) {
     // few fp16 ulps of k-fold accumulation error.
     EXPECT_NEAR(static_cast<float>(c[i]), expect[i], 0.05f) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise contract. Every C element is computed as: start from 0 (beta == 0),
+// C (beta == 1) or C * beta; then for p ascending, av = alpha * A[i,p] is
+// skipped when it is zero and otherwise av * B[p,j] is added, one rounded
+// multiply and one rounded add per term. The scalar reference below is that
+// contract verbatim; the library must match it byte for byte, whatever its
+// tiling, packing or thread count.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void contract_gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha, const T* a,
+                   const T* b, float beta, T* c) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      const float c0 = static_cast<float>(c[i * n + j]);
+      float acc = beta == 0.0f ? 0.0f : beta == 1.0f ? c0 : c0 * beta;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = alpha * static_cast<float>(ta ? a[p * m + i] : a[i * k + p]);
+        if (av == 0.0f) continue;
+        acc += av * static_cast<float>(tb ? b[j * k + p] : b[p * n + j]);
+      }
+      c[i * n + j] = T(acc);
+    }
+  }
+}
+
+// Operands for op(A)[m,k] @ op(B)[k,n]. A has scattered zeros, one all-zero
+// row (i = 1) and all-zero columns p = 2 and p = k - 1; B holds Inf and NaN
+// only in those rows p, so any term that is added instead of skipped turns
+// C into NaN. C has -0.0 in its first column, which beta == 1 must keep.
+template <typename T>
+struct Operands {
+  std::vector<T> a, b, c;
+};
+
+template <typename T>
+Operands<T> contract_operands(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
+                              uint64_t seed) {
+  const Rng rng(seed);
+  Operands<T> ops;
+  ops.a.resize(static_cast<size_t>(m * k));
+  ops.b.resize(static_cast<size_t>(k * n));
+  ops.c.resize(static_cast<size_t>(m * n));
+  const auto poisoned = [&](int64_t p) { return k > 3 && (p == 2 || p == k - 1); };
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      const uint64_t e = static_cast<uint64_t>(i * k + p);
+      float v = rng.normal(1, e);
+      if (rng.uniform(2, e) < 0.3f || (m > 1 && i == 1) || poisoned(p)) v = 0.0f;
+      if (v == 0.0f && rng.uniform(3, e) < 0.5f) v = -0.0f;
+      ops.a[static_cast<size_t>(ta ? p * m + i : i * k + p)] = T(v);
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t j = 0; j < n; ++j) {
+      float v = rng.normal(4, static_cast<uint64_t>(p * n + j));
+      if (poisoned(p)) {
+        v = j % 2 == 0 ? std::numeric_limits<float>::infinity()
+                       : std::numeric_limits<float>::quiet_NaN();
+      }
+      ops.b[static_cast<size_t>(tb ? j * k + p : p * n + j)] = T(v);
+    }
+  }
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j)
+      ops.c[static_cast<size_t>(i * n + j)] =
+          T(j == 0 ? -0.0f : rng.normal(5, static_cast<uint64_t>(i * n + j)));
+  return ops;
+}
+
+void call_gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+               const float* b, float beta, float* c) {
+  sgemm(ta, tb, m, n, k, alpha, a, b, beta, c);
+}
+void call_gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha, const Half* a,
+               const Half* b, float beta, Half* c) {
+  hgemm(ta, tb, m, n, k, alpha, a, b, beta, c);
+}
+void call_batched(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
+                  const float* a, int64_t sa, const float* b, int64_t sb, float beta, float* c,
+                  int64_t sc, int64_t batch) {
+  sgemm_strided_batched(ta, tb, m, n, k, alpha, a, sa, b, sb, beta, c, sc, batch);
+}
+void call_batched(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
+                  const Half* a, int64_t sa, const Half* b, int64_t sb, float beta, Half* c,
+                  int64_t sc, int64_t batch) {
+  hgemm_strided_batched(ta, tb, m, n, k, alpha, a, sa, b, sb, beta, c, sc, batch);
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+template <typename T>
+void check_contract_sweep(int64_t k) {
+  const int64_t dims[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33};
+  const std::pair<float, float> scales[] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {1.0f, 0.25f},
+                                            {0.5f, 0.0f}, {0.5f, 1.0f}, {0.5f, 0.25f}};
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      for (const int64_t m : dims) {
+        for (const int64_t n : dims) {
+          const auto ops = contract_operands<T>(ta, tb, m, n, k, static_cast<uint64_t>(m * n));
+          for (const auto& [alpha, beta] : scales) {
+            std::vector<T> got = ops.c, want = ops.c;
+            call_gemm(ta, tb, m, n, k, alpha, ops.a.data(), ops.b.data(), beta, got.data());
+            contract_gemm(ta, tb, m, n, k, alpha, ops.a.data(), ops.b.data(), beta,
+                          want.data());
+            ASSERT_TRUE(same_bytes(got, want))
+                << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n << " k=" << k
+                << " alpha=" << alpha << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmContractTest, SgemmMatchesContractBitwise) {
+  for (const int64_t k : {1, 8, 257}) check_contract_sweep<float>(k);
+}
+
+TEST(GemmContractTest, HgemmMatchesContractBitwise) {
+  for (const int64_t k : {1, 8, 257}) check_contract_sweep<Half>(k);
+}
+
+// Large enough to split across the pool (several tile blocks).
+template <typename T>
+void check_contract_large() {
+  const int64_t m = 130, n = 200, k = 257;
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const auto ops = contract_operands<T>(ta, tb, m, n, k, 99);
+      for (const float beta : {0.0f, 1.0f, 0.25f}) {
+        std::vector<T> got = ops.c, want = ops.c;
+        call_gemm(ta, tb, m, n, k, 0.5f, ops.a.data(), ops.b.data(), beta, got.data());
+        contract_gemm(ta, tb, m, n, k, 0.5f, ops.a.data(), ops.b.data(), beta, want.data());
+        ASSERT_TRUE(same_bytes(got, want)) << "ta=" << ta << " tb=" << tb << " beta=" << beta;
+      }
+    }
+  }
+}
+
+TEST(GemmContractTest, LargeGemmMatchesContractBitwise) {
+  check_contract_large<float>();
+  check_contract_large<Half>();
+}
+
+// Strided batches with gaps between the C matrices; more batches than
+// threads, so the batch is split across the pool. Gaps must stay untouched.
+template <typename T>
+void check_contract_batched(int64_t m, int64_t n, int64_t k, int64_t batch) {
+  const int64_t sa = m * k + 3, sb = k * n + 5, sc = m * n + 7;
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      std::vector<T> a(static_cast<size_t>(batch * sa)), b(static_cast<size_t>(batch * sb)),
+          c(static_cast<size_t>(batch * sc), T(42.0f));
+      for (int64_t i = 0; i < batch; ++i) {
+        const auto ops = contract_operands<T>(ta, tb, m, n, k, static_cast<uint64_t>(i));
+        std::copy(ops.a.begin(), ops.a.end(), a.begin() + i * sa);
+        std::copy(ops.b.begin(), ops.b.end(), b.begin() + i * sb);
+        std::copy(ops.c.begin(), ops.c.end(), c.begin() + i * sc);
+      }
+      for (const float beta : {0.0f, 1.0f, 0.25f}) {
+        std::vector<T> got = c, want = c;
+        call_batched(ta, tb, m, n, k, 0.5f, a.data(), sa, b.data(), sb, beta, got.data(), sc,
+                     batch);
+        for (int64_t i = 0; i < batch; ++i)
+          contract_gemm(ta, tb, m, n, k, 0.5f, a.data() + i * sa, b.data() + i * sb, beta,
+                        want.data() + i * sc);
+        ASSERT_TRUE(same_bytes(got, want))
+            << "ta=" << ta << " tb=" << tb << " m=" << m << " batch=" << batch
+            << " beta=" << beta;
+      }
+    }
+  }
+}
+
+// stride_c == 0 accumulates every batch into one C (beta == 1): the batches
+// must run in order, exactly like the loop they stand for.
+TEST(GemmContractTest, StridedBatchedWithSharedCRunsInOrder) {
+  const int64_t m = 33, n = 40, k = 65, batch = 16 * parallel_thread_count() + 1;
+  std::vector<Half> a(static_cast<size_t>(batch * m * k)), b(static_cast<size_t>(batch * k * n));
+  const Rng rng(3);
+  for (size_t i = 0; i < a.size(); ++i) a[i] = Half(rng.normal(1, i));
+  for (size_t i = 0; i < b.size(); ++i) b[i] = Half(rng.normal(2, i));
+  std::vector<Half> want(static_cast<size_t>(m * n), Half(0.5f));
+  const std::vector<Half> c0 = want;
+  for (int64_t i = 0; i < batch; ++i)
+    contract_gemm(false, false, m, n, k, 1.0f, a.data() + i * m * k, b.data() + i * k * n,
+                  1.0f, want.data());
+  // Back-to-back calls, so the pool's workers are awake and would race.
+  for (int rep = 0; rep < 5; ++rep) {
+    std::vector<Half> got = c0;
+    hgemm_strided_batched(false, false, m, n, k, 1.0f, a.data(), m * k, b.data(), k * n,
+                          1.0f, got.data(), 0, batch);
+    ASSERT_TRUE(same_bytes(got, want)) << "rep " << rep;
+  }
+}
+
+TEST(GemmContractTest, StridedBatchedMatchesContractBitwise) {
+  const int64_t batch = 3 * parallel_thread_count() + 1;
+  check_contract_batched<float>(17, 9, 33, batch);
+  check_contract_batched<Half>(17, 9, 33, batch);
+  check_contract_batched<float>(48, 48, 32, batch);
+  check_contract_batched<Half>(48, 32, 48, batch);
+  // Fewer batches than threads: each GEMM splits its own tiles instead.
+  check_contract_batched<Half>(130, 64, 257, 2);
 }
 
 TEST(UtilizationTest, MonotoneAndClamped) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -67,6 +68,57 @@ TEST(HalfTest, RoundTripAllBitPatterns) {
     if (exp == 0x1f && mant != 0) continue;  // NaNs don't round-trip bitwise
     const float f = half_bits_to_float(b);
     EXPECT_EQ(float_to_half_bits(f), b) << "bits=0x" << std::hex << bits;
+  }
+}
+
+// half -> float equals the format's definition for every bit pattern.
+TEST(HalfTest, HalfToFloatMatchesDefinitionForAllBitPatterns) {
+  for (uint32_t bits = 0; bits <= 0xffff; ++bits) {
+    const uint16_t b = static_cast<uint16_t>(bits);
+    const int exp = (b >> 10) & 0x1f;
+    const int mant = b & 0x3ff;
+    const double sign = (b & 0x8000) ? -1.0 : 1.0;
+    const float f = half_bits_to_float(b);
+    if (exp == 0x1f) {
+      EXPECT_TRUE(mant == 0 ? std::isinf(f) : std::isnan(f)) << std::hex << bits;
+      continue;
+    }
+    const double want = exp == 0 ? sign * std::ldexp(mant, -24)
+                                 : sign * std::ldexp(1024 + mant, exp - 25);
+    EXPECT_EQ(f, static_cast<float>(want)) << std::hex << bits;
+    EXPECT_EQ(std::signbit(f), (b & 0x8000) != 0) << std::hex << bits;
+  }
+}
+
+// float -> half rounds to the nearest half, ties to even, and overflows to
+// Inf at 65520 — checked on a prime-strided sweep over all 2^32 floats.
+TEST(HalfTest, FloatToHalfIsNearestEvenOnBitPatternSweep) {
+  for (uint64_t u = 0; u < (uint64_t{1} << 32); u += 997) {
+    const uint32_t x = static_cast<uint32_t>(u);
+    float f;
+    std::memcpy(&f, &x, sizeof(f));
+    const uint16_t h = float_to_half_bits(f);
+    ASSERT_EQ((h & 0x8000) != 0, std::signbit(f)) << std::hex << x;
+    const uint16_t mag = h & 0x7fff;
+    if (std::isnan(f)) {
+      ASSERT_EQ(mag, 0x7e00) << std::hex << x;
+      continue;
+    }
+    const double a = std::fabs(static_cast<double>(f));
+    if (a >= 65520.0) {
+      ASSERT_EQ(mag, 0x7c00) << std::hex << x;
+      continue;
+    }
+    const double err = std::fabs(a - half_bits_to_float(mag));
+    const bool even = (mag & 1) == 0;
+    if (mag > 0) {
+      const double lo = a - half_bits_to_float(static_cast<uint16_t>(mag - 1));
+      ASSERT_TRUE(err < std::fabs(lo) || (err == std::fabs(lo) && even)) << std::hex << x;
+    }
+    if (mag + 1 < 0x7c00) {
+      const double hi = half_bits_to_float(static_cast<uint16_t>(mag + 1)) - a;
+      ASSERT_TRUE(err < std::fabs(hi) || (err == std::fabs(hi) && even)) << std::hex << x;
+    }
   }
 }
 

@@ -37,6 +37,47 @@ SessionConfig session_config(System sys, DType dtype = DType::kF32) {
   return sc;
 }
 
+// FNV-1a digest of every parameter's bytes, in declaration order.
+uint64_t param_digest(const layers::ParamRegistry& params) {
+  uint64_t h = 1469598103934665603ull;
+  params.for_each([&](const std::string&, Tensor value, Tensor) {
+    const auto* b = static_cast<const unsigned char*>(value.raw());
+    for (size_t i = 0; i < value.bytes(); ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  });
+  return h;
+}
+
+// Initial weights are pinned: a model with real parameter memory gets
+// exactly the bytes the seeded fills produced before they learned to skip
+// tensors without real backing. The digests depend on the counter RNG and
+// on the host libm's log/cos (Box-Muller).
+TEST(ParamInitTest, ExecuteModeWeightsAreByteStable) {
+  const std::pair<DType, uint64_t> golden[] = {{DType::kF32, 0xf6b6662ab2231067ull},
+                                               {DType::kF16, 0x9f5c52ffcff98bb8ull}};
+  for (const auto& [dtype, digest] : golden) {
+    Transformer model(tiny_mt_config(), System::kLightSeq2, dtype, /*seed=*/7);
+    EXPECT_EQ(param_digest(model.params()), digest) << dtype_name(dtype);
+  }
+}
+
+// kModelOnly parameters have virtual backing: the fills leave them alone,
+// and a model built afterwards still gets the pinned weights.
+TEST(ParamInitTest, ModelOnlyBuildSkipsFills) {
+  SessionConfig sc;
+  sc.mode = simgpu::ExecMode::kModelOnly;
+  Session s(sc);
+  Transformer virtual_model(tiny_mt_config(), System::kLightSeq2, DType::kF32, 7,
+                            s.param_alloc());
+  virtual_model.params().for_each([](const std::string& name, Tensor value, Tensor) {
+    EXPECT_FALSE(value.backs_real_memory()) << name;
+  });
+  Transformer model(tiny_mt_config(), System::kLightSeq2, DType::kF32, 7);
+  EXPECT_EQ(param_digest(model.params()), 0xf6b6662ab2231067ull);
+}
+
 TEST(TransformerTest, ForwardBackwardRunsAndLossFinite) {
   Session s(session_config(System::kLightSeq2));
   Transformer model(tiny_mt_config(), System::kLightSeq2, DType::kF32, 1);
