@@ -25,7 +25,9 @@
 #                      sharded path still holds its parity/capacity claims.
 #   --smoke pp         Pipeline-parallel smoke lane: the PP test binary
 #                      (1F1B parity/schedule/hybrid claims), and (release
-#                      only) fig_3d with its schema check.
+#                      only) fig_3d with its schema check plus the
+#                      perfbench self-test on mt_big_3d (builds perfbench;
+#                      same-seed determinism of the model-only TP x PP path).
 #   --smoke fault      Fault-injection smoke lane: the fault-tolerance test
 #                      binary (checkpoint/rollback/elastic/degraded-serving
 #                      claims), and (release only) fig_fault with its
@@ -131,6 +133,8 @@ elif [ "$SMOKE" = pp ]; then
   echo "ci.sh: smoke-running ./fig_3d"
   ./fig_3d >/dev/null
   python3 ../ci/check_bench_json.py fig_3d
+  echo "ci.sh: perfbench self-test on mt_big_3d"
+  (cd .. && python3 perfbench/run.py --selftest --workload mt_big_3d)
 elif [ "$SMOKE" = fault ]; then
   echo "ci.sh: smoke-running ./fig_fault"
   ./fig_fault >/dev/null

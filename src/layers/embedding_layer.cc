@@ -22,11 +22,15 @@ EmbeddingLayer::EmbeddingLayer(ParamRegistry& params, const std::string& prefix,
   }
 }
 
-void EmbeddingLayer::ensure_positions(DType dtype) {
-  if (pos_.defined() && pos_.dtype() == dtype) return;
+void EmbeddingLayer::ensure_positions(LayerContext& ctx, DType dtype) {
+  const bool execute = ctx.device().mode() == simgpu::ExecMode::kExecute;
+  if (pos_.defined() && pos_.dtype() == dtype && (pos_.backs_real_memory() || !execute)) {
+    return;
+  }
+  pos_ = ctx.alloc_host({cfg_.max_len, cfg_.hidden}, dtype);
+  if (!execute) return;  // no kernel body reads the table
   Tensor pos_f32 = Tensor::empty({cfg_.max_len, cfg_.hidden}, DType::kF32);
   kern::init_sinusoidal_positions(pos_f32);
-  pos_ = Tensor::empty({cfg_.max_len, cfg_.hidden}, dtype);
   pos_.copy_from(pos_f32.to_vector());
 }
 
@@ -39,7 +43,7 @@ Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids) {
   // completes — EXACT, since every row has a single owner. The emulation
   // assembles the full table and looks up directly: the same bits.
   const Tensor table = table_.value(ctx);
-  ensure_positions(table.dtype());
+  ensure_positions(ctx, table.dtype());
   Tensor y = ctx.alloc({B, L, cfg_.hidden}, table.dtype());
   Tensor mask = ctx.alloc({B, L, cfg_.hidden}, DType::kU8);
   const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
@@ -60,7 +64,7 @@ Tensor EmbeddingLayer::prefill(LayerContext& ctx, const Tensor& ids) {
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
   LS2_CHECK_LE(L, cfg_.max_len);
   const Tensor table = table_.value(ctx);
-  ensure_positions(table.dtype());
+  ensure_positions(ctx, table.dtype());
   Tensor y = ctx.alloc({B, L, cfg_.hidden}, table.dtype());
   Tensor mask = ctx.alloc({B, L, cfg_.hidden}, DType::kU8);
   const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
@@ -76,7 +80,7 @@ Tensor EmbeddingLayer::decode_step(LayerContext& ctx, const Tensor& ids,
   const int64_t S = ids.shape()[0];
   LS2_CHECK_EQ(ids.numel(), S) << "decode_step takes one token per slot";
   const Tensor table = table_.value(ctx);
-  ensure_positions(table.dtype());
+  ensure_positions(ctx, table.dtype());
   Tensor y = ctx.alloc({S, 1, cfg_.hidden}, table.dtype());
   const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
   kern::embedding_decode_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_, positions, y,

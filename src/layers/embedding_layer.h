@@ -36,7 +36,7 @@ class EmbeddingLayer {
                  TpParam tied_table = {});
 
   /// Lazily builds the sinusoidal table on first use (host init, not a
-  /// device kernel).
+  /// device kernel; skipped while kernel bodies are skipped).
   Tensor forward(LayerContext& ctx, const Tensor& ids);
   void backward(LayerContext& ctx, const Tensor& dy);
   void release();
@@ -50,11 +50,15 @@ class EmbeddingLayer {
   /// The token table parameter — shared with the output projection when
   /// embeddings are tied.
   const TpParam& table() const { return table_; }
+  /// The sinusoidal position table (undefined before the first forward).
+  const Tensor& positions() const { return pos_; }
   const EmbeddingConfig& config() const { return cfg_; }
 
  private:
-  /// Build pos_ for the table's dtype if not already present.
-  void ensure_positions(DType dtype);
+  /// Build pos_ for the table's dtype if not already present. Outside
+  /// kExecute the table is uncommitted and left unfilled; it is rebuilt
+  /// once the device switches to kExecute.
+  void ensure_positions(LayerContext& ctx, DType dtype);
 
   EmbeddingConfig cfg_;
   ParamRegistry* params_;

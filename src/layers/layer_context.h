@@ -71,14 +71,25 @@ class LayerContext {
     return Tensor::empty(std::move(shape), dtype, act_alloc_);
   }
 
+  /// Allocate a host-side emulation tensor outside device accounting: heap
+  /// memory when kernel bodies run (kExecute), uncommitted aliasing memory
+  /// otherwise — model-only code never reads or writes it.
+  Tensor alloc_host(Shape shape, DType dtype) {
+    return Tensor::empty(std::move(shape), dtype,
+                         device().mode() == simgpu::ExecMode::kExecute
+                             ? heap_allocator()
+                             : uncommitted_allocator());
+  }
+
   /// Allocate an activation that tensor parallelism shards 1/k per device
   /// (DESIGN.md §7): the returned tensor is FULL-shape (the emulation runs
   /// the unsharded arithmetic, which is bitwise what the shards reassemble
-  /// to) and heap-backed, while one shard's bytes are reserved from the
-  /// device activation allocator so per-device memory accounting — arena
-  /// sizing, capacity scans, OOM — sees what a real TP rank would allocate.
-  /// Reservations live until release_tp_reservations() (Session::end_step).
-  /// Identical to alloc() when TP is off.
+  /// to) and host-side (alloc_host: uncommitted outside kExecute), while one
+  /// shard's bytes are reserved from the device activation allocator so
+  /// per-device memory accounting — arena sizing, capacity scans, OOM —
+  /// sees what a real TP rank would allocate. Reservations live until
+  /// release_tp_reservations() (Session::end_step). Identical to alloc()
+  /// when TP is off.
   Tensor alloc_shard(Shape shape, DType dtype) {
     const int k = tp_size();
     if (k <= 1) return alloc(std::move(shape), dtype);
@@ -86,7 +97,7 @@ class LayerContext {
         (shape.numel() * static_cast<int64_t>(dtype_size(dtype)) + k - 1) / k);
     tp_reservations_.push_back(
         Tensor::empty({shard_bytes}, DType::kU8, act_alloc_));
-    return Tensor::empty(std::move(shape), dtype);
+    return alloc_host(std::move(shape), dtype);
   }
 
   /// Drop the per-step shard reservations (before the arena's end-of-step

@@ -52,8 +52,8 @@ std::vector<std::pair<const ParamRegistry*, ParamRef>> TpParam::all_shards() con
 Tensor TpParam::value(LayerContext& ctx) const {
   LS2_CHECK(valid());
   if (!sharded()) return reg_->value(ref_);
-  Tensor full = Tensor::empty(full_shape(), reg_->dtype());
-  if (ctx.device().mode() != simgpu::ExecMode::kExecute) return full;
+  Tensor full = ctx.alloc_host(full_shape(), reg_->dtype());
+  if (!full.backs_real_memory()) return full;
   LS2_CHECK(peers_ != nullptr)
       << "executing a TP model without simulated peer shards ('" << reg_->name(ref_)
       << "') — peer registries are required outside model-only runs";
@@ -69,8 +69,8 @@ TpParam::GradScope::GradScope(const TpParam& p, LayerContext& ctx) : param_(&p) 
     full_ = p.reg_->grad(p.ref_);
     return;
   }
-  full_ = Tensor::empty(p.full_shape(), p.reg_->dtype());
-  if (ctx.device().mode() != simgpu::ExecMode::kExecute) return;
+  full_ = ctx.alloc_host(p.full_shape(), p.reg_->dtype());
+  if (!full_.backs_real_memory()) return;
   LS2_CHECK(p.peers_ != nullptr)
       << "executing a TP model without simulated peer shards ('"
       << p.reg_->name(p.ref_) << "')";

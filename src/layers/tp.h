@@ -53,9 +53,10 @@ class TpParam {
   const Shape& full_shape() const;
 
   /// The FULL weight for this step's math: the registry tensor when
-  /// unsharded; otherwise a heap scratch assembled from the shards (the
-  /// assembly is emulation bookkeeping — a real rank GEMMs its shard
-  /// directly — so it is uncharged, and skipped outside execute mode).
+  /// unsharded; otherwise a host scratch (LayerContext::alloc_host) assembled
+  /// from the shards (the assembly is emulation bookkeeping — a real rank
+  /// GEMMs its shard directly — so it is uncharged, and skipped outside
+  /// execute mode).
   Tensor value(LayerContext& ctx) const;
 
   /// RAII full-gradient scope: tensor() is the full gradient buffer,

@@ -30,20 +30,25 @@ void* CachingAllocator::allocate(size_t bytes) {
     ++hits_;
     device_.charge_alloc(/*cache_hit=*/true);
     note_usage(static_cast<int64_t>(got));
+    live_blocks_.emplace(ptr, got);
     return ptr;
   }
   ++misses_;
   void* ptr = device_malloc(bucket);
   note_usage(static_cast<int64_t>(bucket));
+  live_blocks_.emplace(ptr, bucket);
   return ptr;
 }
 
-void CachingAllocator::deallocate(void* ptr, size_t bytes) {
-  const size_t bucket = round_bucket(bytes);
+void CachingAllocator::deallocate(void* ptr, size_t) {
   std::lock_guard<std::mutex> lock(mu_);
-  free_blocks_.emplace(bucket, ptr);
-  cached_bytes_ += static_cast<int64_t>(bucket);
-  note_usage(-static_cast<int64_t>(bucket));
+  auto it = live_blocks_.find(ptr);
+  LS2_CHECK(it != live_blocks_.end()) << "caching allocator: unknown block " << ptr;
+  const size_t size = it->second;
+  live_blocks_.erase(it);
+  free_blocks_.emplace(size, ptr);
+  cached_bytes_ += static_cast<int64_t>(size);
+  note_usage(-static_cast<int64_t>(size));
 }
 
 void CachingAllocator::release_cached() {

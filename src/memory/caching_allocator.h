@@ -11,6 +11,7 @@
 
 #include <map>
 #include <mutex>
+#include <unordered_map>
 
 #include "memory/device_allocator.h"
 
@@ -39,8 +40,11 @@ class CachingAllocator final : public DeviceAllocator {
  private:
   static size_t round_bucket(size_t bytes);
 
-  // bucket size -> free blocks of exactly that size
+  // block size -> free blocks of exactly that size
   std::multimap<size_t, void*> free_blocks_;
+  // live block -> its size, which exceeds the request's bucket when a
+  // larger cached block served it; the block goes back whole
+  std::unordered_map<void*, size_t> live_blocks_;
   int64_t cached_bytes_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

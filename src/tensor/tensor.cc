@@ -1,6 +1,10 @@
 #include "tensor/tensor.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <mutex>
 
 namespace ls2 {
 
@@ -16,11 +20,44 @@ class HeapAllocator final : public BufferAllocator {
   void deallocate(void* ptr, size_t) override { std::free(ptr); }
   const char* name() const override { return "heap"; }
 };
+
+class UncommittedAllocator final : public BufferAllocator {
+ public:
+  void* allocate(size_t bytes) override {
+    if (bytes == 0) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (bytes > size_) {
+      // The old region stays mapped: live tensors may still point into it.
+      const size_t size = std::max(bytes, 2 * size_);
+      void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      LS2_CHECK(p != MAP_FAILED) << "uncommitted region mmap failed (" << size << " B)";
+      base_ = p;
+      size_ = size;
+    }
+    return base_;
+  }
+  void deallocate(void*, size_t) override {}
+  const char* name() const override { return "uncommitted"; }
+  bool backs_real_memory() const override { return false; }
+
+ private:
+  std::mutex mu_;
+  void* base_ = nullptr;  // current region; every request starts here
+  size_t size_ = 0;
+};
 }  // namespace
 
 BufferAllocator* heap_allocator() {
   static HeapAllocator alloc;
   return &alloc;
+}
+
+BufferAllocator* uncommitted_allocator() {
+  // Never destroyed: buffers held by other statics may call deallocate()
+  // during exit. The regions are address space only and go with the process.
+  static auto* alloc = new UncommittedAllocator;
+  return alloc;
 }
 
 Buffer::Buffer(BufferAllocator* alloc, size_t bytes)

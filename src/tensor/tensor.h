@@ -37,6 +37,14 @@ class BufferAllocator {
 /// tests and host-side staging buffers.
 BufferAllocator* heap_allocator();
 
+/// Process-wide zero-cost allocator for host tensors nothing reads or writes
+/// (model-only emulation temporaries): every request is served from the
+/// start of one reserved, never-committed region, so its tensors ALIAS each
+/// other and backs_real_memory() is false. A request larger than the region
+/// maps a new one of at least twice the size; older regions stay mapped,
+/// so earlier pointers remain valid. deallocate() does nothing.
+BufferAllocator* uncommitted_allocator();
+
 /// Shared ownership of one allocation (or a non-owning alias).
 class Buffer {
  public:

@@ -65,6 +65,28 @@ TEST_F(CachingAllocatorTest, NoWastefulReuse) {
   alloc.deallocate(small, 1024);
 }
 
+TEST_F(CachingAllocatorTest, LargerCachedBlockGoesBackWhole) {
+  // A 2 MB - 4 KB request rounds to a 2 MB bucket and is served from a
+  // cached 4 MB block (within the 2x waste cap): the whole block is in use,
+  // and freeing it must return all 4 MB and re-cache the block at 4 MB.
+  CachingAllocator alloc(dev);
+  void* big = alloc.allocate(4 << 20);
+  alloc.deallocate(big, 4 << 20);
+  const size_t request = (2 << 20) - 4096;
+  void* p = alloc.allocate(request);
+  EXPECT_EQ(p, big);
+  EXPECT_EQ(alloc.bytes_in_use(), 4 << 20);
+  alloc.deallocate(p, request);
+  EXPECT_EQ(alloc.bytes_in_use(), 0);
+  EXPECT_EQ(alloc.cached_bytes(), 4 << 20);
+  // Re-cached at its real size: a 4 MB request is a hit on the same block.
+  void* again = alloc.allocate(4 << 20);
+  EXPECT_EQ(again, big);
+  EXPECT_EQ(alloc.cache_hits(), 2);
+  EXPECT_EQ(alloc.device_malloc_count(), 1);
+  alloc.deallocate(again, 4 << 20);
+}
+
 TEST_F(CachingAllocatorTest, ReleaseCachedFreesDeviceMemory) {
   CachingAllocator alloc(dev);
   void* p = alloc.allocate(1 << 20);

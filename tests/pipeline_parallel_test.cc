@@ -537,6 +537,52 @@ TEST(PpGraphTest, CaptureReplayBitwiseUnderPp) {
 // Reported times: the live engine's bubble against the analytic bound
 // ---------------------------------------------------------------------------
 
+// Stages >= 1 allocate activations from a private caching allocator. Over
+// many model-only steps of varying batch shapes, every block a step takes
+// from it — including blocks served from larger cached ones — must be back
+// when the step ends.
+TEST(PpMemoryTest, RemoteStageAllocatorIsEmptyAfterEveryStep) {
+  constexpr int kMicrobatches = 4;
+  data::MtDataset ds(small_mt_config().vocab, 512, 4, 48, 17);
+  const std::vector<models::MtBatch> sorted = data::make_mt_batches(ds, 384, DType::kF32);
+  // Alternate short and long batches, trimmed to a multiple of the
+  // microbatch count, so shapes keep changing between steps.
+  std::vector<models::MtBatch> batches;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const models::MtBatch& b = sorted[i % 2 == 0 ? i / 2 : sorted.size() - 1 - i / 2];
+    const int64_t rows = b.src_ids.shape()[0] / kMicrobatches * kMicrobatches;
+    if (rows == 0) continue;
+    models::MtBatch t = b;
+    t.src_ids = b.src_ids.slice(0, rows);
+    t.tgt_in = b.tgt_in.slice(0, rows);
+    t.tgt_out = b.tgt_out.slice(0, rows);
+    t.src_lens = b.src_lens.slice(0, rows);
+    t.tgt_lens = b.tgt_lens.slice(0, rows);
+    batches.push_back(t);
+  }
+  ASSERT_GE(batches.size(), 16u);
+
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.dtype = DType::kF16;
+  sc.mode = simgpu::ExecMode::kModelOnly;
+  Session session(sc);
+  models::Transformer model(small_mt_config(), System::kLightSeq2, DType::kF16, 21,
+                            session.param_alloc());
+  optim::OptimConfig ocfg;
+  optim::LightSeq2Trainer trainer(model.params(), ocfg);
+  const dist::ClusterConfig cluster = pp_cluster(2, kMicrobatches);
+  for (int step = 0; step < 3; ++step) {
+    for (size_t i = 0; i < batches.size(); ++i) {
+      (void)core::train_step(session, model, batches[i], trainer, cluster);
+      auto state = std::static_pointer_cast<core::pp_detail::PpState>(session.pp_state);
+      ASSERT_NE(state, nullptr);
+      ASSERT_EQ(state->remote_alloc->bytes_in_use(), 0)
+          << "pass " << step << ", batch " << i << " leaked remote-stage blocks";
+    }
+  }
+}
+
 TEST(PpStepTimesTest, BubbleConsistentWithAnalyticBound) {
   data::LmDataset ds(64, 4096, 71);
   const models::LmBatch batch = ds.batch(0, 8, 12);

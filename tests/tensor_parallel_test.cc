@@ -22,6 +22,7 @@
 
 #include "core/lightseq2.h"
 #include "gemm/gemm.h"
+#include "layers/embedding_layer.h"
 #include "layers/tp.h"
 
 namespace ls2 {
@@ -587,6 +588,77 @@ TEST(TpMemoryTest, AllocShardReservesOneShardFromTheDeviceAllocator) {
   Tensor u = ctx.alloc_shard({256, 4}, DType::kF32);
   EXPECT_EQ(probe.bytes_in_use(), 4096);
   (void)u;
+}
+
+layers::EmbeddingConfig small_embedding_config(dist::TpRuntime* tp) {
+  layers::EmbeddingConfig ec;
+  ec.vocab = 16;
+  ec.hidden = 8;
+  ec.max_len = 12;
+  ec.dropout = 0.0f;
+  if (tp != nullptr) ec.tp = {tp->tp_size(), &tp->peers()};
+  return ec;
+}
+
+Tensor small_ids() {
+  return Tensor::from_vector({1, 2, 3, 4, 5, 6, 7, 8}, {2, 4}, DType::kI32);
+}
+
+// Model-only steps never read the full-shape emulation tensors or the
+// position table, so outside kExecute they live in uncommitted memory.
+TEST(TpMemoryTest, HostTemporariesAreRealOnlyWhenKernelBodiesRun) {
+  for (simgpu::ExecMode mode : {simgpu::ExecMode::kModelOnly, simgpu::ExecMode::kExecute}) {
+    const bool real = mode == simgpu::ExecMode::kExecute;
+    simgpu::Device dev(simgpu::generic(), mode);
+    layers::LayerContext ctx(dev, heap_allocator(), layers::policy_for(System::kLightSeq2), 1);
+    dist::ProcessGroup pg(tp_cluster(2));
+    ctx.tp_group = &pg;
+    dist::TpRuntime tp(2);
+    layers::ParamRegistry reg;
+    layers::EmbeddingLayer embed(reg, "embed", small_embedding_config(&tp));
+    reg.materialize(DType::kF32, false, Rng(5));
+    tp.materialize(DType::kF32, 5);
+
+    EXPECT_EQ(ctx.alloc_shard({8, 8}, DType::kF32).backs_real_memory(), real);
+    EXPECT_EQ(embed.table().value(ctx).backs_real_memory(), real);
+    EXPECT_EQ(embed.table().grad(ctx).tensor().backs_real_memory(), real);
+    (void)embed.forward(ctx, small_ids());
+    EXPECT_EQ(embed.positions().backs_real_memory(), real);
+    embed.release();
+    ctx.release_tp_reservations();
+  }
+}
+
+// A model-only step leaves an unfilled table; once the device executes,
+// the next forward rebuilds exactly the table a fresh execute-mode layer
+// builds.
+TEST(TpMemoryTest, PositionTableIsRebuiltWhenTheDeviceStartsExecuting) {
+  const layers::Policy policy = layers::policy_for(System::kLightSeq2);
+  simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kModelOnly);
+  layers::ParamRegistry reg;
+  layers::EmbeddingLayer embed(reg, "embed", small_embedding_config(nullptr));
+  reg.materialize(DType::kF16, false, Rng(5));
+  layers::LayerContext ctx(dev, heap_allocator(), policy, 1);
+  const Tensor y = embed.forward(ctx, small_ids());
+  embed.backward(ctx, Tensor::zeros(y.shape(), y.dtype()));
+  EXPECT_FALSE(embed.positions().backs_real_memory());
+  dev.set_mode(simgpu::ExecMode::kExecute);
+  (void)embed.forward(ctx, small_ids());
+  embed.release();
+
+  simgpu::Device fresh_dev(simgpu::generic(), simgpu::ExecMode::kExecute);
+  layers::ParamRegistry fresh_reg;
+  layers::EmbeddingLayer fresh(fresh_reg, "embed", small_embedding_config(nullptr));
+  fresh_reg.materialize(DType::kF16, false, Rng(5));
+  layers::LayerContext fresh_ctx(fresh_dev, heap_allocator(), policy, 1);
+  (void)fresh.forward(fresh_ctx, small_ids());
+  fresh.release();
+
+  const Tensor& pos = embed.positions();
+  ASSERT_TRUE(pos.backs_real_memory());
+  ASSERT_EQ(pos.dtype(), fresh.positions().dtype());
+  ASSERT_EQ(pos.bytes(), fresh.positions().bytes());
+  EXPECT_EQ(std::memcmp(pos.raw(), fresh.positions().raw(), pos.bytes()), 0);
 }
 
 // The headline capacity win: the Transformer fits at TP=4 in an activation

@@ -1,6 +1,10 @@
 #include "tensor/tensor.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <vector>
 
 #include "common/check.h"
 
@@ -98,6 +102,50 @@ TEST(TensorTest, CopyRequiresMatchingDtype) {
   Tensor c = Tensor::from_vector({1, 2, 3, 4}, Shape{4}, DType::kF32);
   a.copy_(c);
   EXPECT_EQ(a.to_vector(), c.to_vector());
+}
+
+// True when every page of [p, p + bytes) is mapped (mincore fails with
+// ENOMEM on an unmapped range; it never commits a page).
+bool mapped(const void* p, size_t bytes) {
+  const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(p) / page * page;
+  const uintptr_t end = reinterpret_cast<uintptr_t>(p) + bytes;
+  std::vector<unsigned char> resident((end - begin + page - 1) / page);
+  return mincore(reinterpret_cast<void*>(begin), end - begin, resident.data()) == 0;
+}
+
+TEST(UncommittedAllocatorTest, TensorsAliasAndAreNotReal) {
+  BufferAllocator* alloc = uncommitted_allocator();
+  EXPECT_FALSE(alloc->backs_real_memory());
+  Tensor a = Tensor::empty({64, 64}, DType::kF32, alloc);
+  Tensor b = Tensor::empty({16}, DType::kF16, alloc);
+  EXPECT_FALSE(a.backs_real_memory());
+  EXPECT_FALSE(b.backs_real_memory());
+  EXPECT_EQ(a.raw(), b.raw());  // every request starts at the region base
+  // Initialisers skip non-real tensors.
+  a.fill_(1.0f);
+  a.zero_();
+  a.copy_(a);
+}
+
+TEST(UncommittedAllocatorTest, GrowingKeepsEarlierRegionsMapped) {
+  BufferAllocator* alloc = uncommitted_allocator();
+  Tensor first = Tensor::empty({1 << 20}, DType::kU8, alloc);
+  // Double the request until it outgrows the current region and lands in a
+  // new one.
+  size_t bytes = first.bytes();
+  Tensor grown;
+  do {
+    bytes *= 2;
+    grown = Tensor::empty({static_cast<int64_t>(bytes)}, DType::kU8, alloc);
+  } while (grown.raw() == first.raw());
+  EXPECT_TRUE(mapped(first.raw(), first.bytes()));
+  EXPECT_TRUE(mapped(grown.raw(), grown.bytes()));
+  // Later requests are served from the new region; freeing returns nothing.
+  const void* base = grown.raw();
+  first = Tensor();
+  grown = Tensor();
+  EXPECT_EQ(Tensor::empty({8}, DType::kF32, alloc).raw(), base);
 }
 
 }  // namespace
