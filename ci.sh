@@ -23,8 +23,11 @@
 #                      the TP test binary, and (release only) runs fig_tp
 #                      and schema-checks its JSON. Fast signal that the
 #                      sharded path still holds its parity/capacity claims.
-#   --smoke pp         Pipeline-parallel smoke lane: the PP test binary
-#                      (1F1B parity/schedule/hybrid claims), and (release
+#   --smoke pp         Pipeline-parallel smoke lane: the suites the one
+#                      train_step driver must hold across its pp = 1 and
+#                      pp > 1 cases (PP 1F1B parity/schedule/hybrid
+#                      claims, pipelined-update and graph-replay parity,
+#                      Chrome-trace well-formedness), and (release
 #                      only) fig_3d with its schema check plus the
 #                      perfbench self-test on mt_big_3d (builds perfbench;
 #                      same-seed determinism of the model-only TP x PP path).
@@ -100,7 +103,8 @@ if [ "$PRESET" = tsan ]; then
 elif [ "$SMOKE" = tp ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R tensor_parallel_test
 elif [ "$SMOKE" = pp ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R pipeline_parallel_test
+  ctest --output-on-failure --timeout 300 --no-tests=error \
+    -R 'pipeline_parallel_test|pipeline_update_test|graph_replay_test|trace_test'
 elif [ "$SMOKE" = fault ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R fault_tolerance_test
 elif [ "$SMOKE" = fleet ]; then

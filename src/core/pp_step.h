@@ -1,4 +1,5 @@
-// Pipeline-parallel training step: 1F1B microbatch scheduling (DESIGN.md §9).
+// Pipeline-parallel pieces of core::train_step (DESIGN.md §9): the 1F1B
+// engine it drives when cluster.pipeline_parallel > 1.
 //
 // The simulator executes the FULL model on the session device — that is
 // what keeps the numerics bitwise-checkable against the single-device run —
@@ -25,16 +26,16 @@
 //      point-to-point cost model. StepTimes reports the RANK-0 lane:
 //      stage-0 compute in forward/backward_us, schedule idle in
 //      pp_bubble_us, exposed p2p in pp_exposed_us.
-//   4. Data-parallel sync composes per stage: grad-ready notifications
-//      during the LAST microbatch's backward are recorded with their
-//      offsets into each stage's final backward chunk, chopped into
-//      size-capped buckets, and each stage's bucket rings are laid on that
-//      stage's own comm lane. A tied embedding table (GPT-2, tied
-//      Transformer) is final on the LAST stage but lives on stage 0, so
-//      one extra p2p hop gates its stage-0 bucket. Optimizer updates run
-//      for real (range-granular, order-independent — the step_range
-//      contract), with stage-0's waits/updates pipelined per bucket into
-//      sync_us / update_us exactly like the non-PP pipelined path.
+//   4. Data-parallel sync runs per stage on ANALYTIC comm lanes: the device
+//      runs every stage back to back, so its one comm stream cannot stand
+//      in for pp of them. The last microbatch's grad-ready notifications,
+//      offset into each stage's final backward chunk, are chopped into
+//      size-capped buckets that ring on their stage's lane. A tied
+//      embedding table (GPT-2, tied Transformer) is final on the LAST stage
+//      but lives on stage 0, so one extra p2p hop gates its stage-0 bucket.
+//      Optimizer updates run for real (step_range is order-independent);
+//      stage 0's waits and updates are pipelined per bucket into sync_us /
+//      update_us like the pp = 1 pipelined path.
 //
 // Graph capture/replay wraps the whole m-microbatch region: remote-stage
 // allocations charge the remote device, so the session capture sees only
@@ -46,21 +47,26 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "core/train_step.h"
+#include "core/session.h"
+#include "core/step_times.h"
+#include "dist/allreduce.h"
 #include "dist/bucket.h"
 #include "dist/pipeline.h"
 #include "dist/process_group.h"
 #include "layers/pp.h"
 #include "memory/caching_allocator.h"
+#include "optim/optimizer.h"
 #include "simgpu/fault.h"
 
 namespace ls2::core::pp_detail {
 
-/// Cross-step engine state, owned (type-erased) by Session::pp_state.
+/// Cross-step engine state, owned by Session::pp_state.
 struct PpState {
   /// Throwaway device + allocator backing stages >= 1's activations: their
   /// alloc traffic must neither count against rank-0 memory nor poison a
@@ -69,7 +75,6 @@ struct PpState {
   std::unique_ptr<simgpu::Device> remote_dev;
   std::unique_ptr<mem::CachingAllocator> remote_alloc;
   double trace_base_us = 0;  ///< virtual time base for per-step trace spans
-  bool trace_named = false;  ///< per-rank trace processes named once
 };
 
 // --- batch plumbing -------------------------------------------------------
@@ -134,269 +139,158 @@ int64_t pp_global_denominator(const BatchT& b, int32_t pad_id, bool execute) {
   }
 }
 
-template <typename ModelT, typename BatchT>
-auto train_step_pp(Session& session, ModelT& model, const BatchT& batch,
-                   optim::Optimizer& trainer, const dist::ClusterConfig& cluster)
-    -> std::pair<StepTimes,
-                 decltype(std::declval<ModelT&>().forward(
-                     std::declval<Session&>().ctx(), std::declval<const BatchT&>()))> {
-  using ResultT = decltype(model.forward(session.ctx(), batch));
-  if constexpr (!requires { model.pp_configure(1); }) {
-    LS2_CHECK(false) << "model does not implement pp_configure — pipeline "
-                        "parallelism needs a stage partition";
-    return {StepTimes{}, ResultT{}};
-  } else {
-    auto& dev = session.device();
-    auto& ctx = session.ctx();
-    kern::KernelContext& kc = ctx.kern;
-    StepTimes times;
-    cluster.validate();
-    const int pp = cluster.pipeline_parallel;
-    const int m = cluster.microbatches;
+/// One pipeline-parallel step. While alive it owns the layer context's PP
+/// state — the stage-boundary hook, the loss carries, the global
+/// denominator, the microbatch RNG offset — and the destructor restores it.
+class PpStep {
+ public:
+  template <typename ModelT, typename BatchT>
+  PpStep(Session& session, ModelT& model, const BatchT& batch,
+         const dist::ClusterConfig& cluster)
+      : session_(session),
+        dev_(session.device()),
+        ctx_(session.ctx()),
+        pp_(cluster.pipeline_parallel),
+        m_(cluster.microbatches),
+        pgroup_(cluster),
+        plan_(model.pp_configure(pp_)),
+        params_(model.params()),
+        spans_(layers::stage_byte_spans(plan_, params_)),
+        fdur_(su(pp_), std::vector<double>(su(m_), 0.0)),
+        bdur_(fdur_),
+        fwd_bytes_(su(pp_ - 1), 0),
+        bwd_bytes_(fwd_bytes_),
+        local_act_(ctx_.activation_allocator()),
+        act_base_(session.activations().bytes_in_use()) {
     const int64_t rows = pp_batch_rows(batch);
-    LS2_CHECK(rows % m == 0 && rows >= m)
-        << "batch size " << rows << " must split into " << m << " equal microbatches";
-
-    // Hybrid composition wiring checks — same contract as train_step.
-    dist::ProcessGroup* tp_group = ctx.tp_group;
-    LS2_CHECK((tp_group != nullptr ? tp_group->tp_size() : 1) == cluster.tensor_parallel)
-        << "cluster.tensor_parallel = " << cluster.tensor_parallel
-        << " but the session's ProcessGroup is "
-        << (tp_group ? std::to_string(tp_group->tp_size()) : std::string("absent"))
-        << " — install a matching group as session.ctx().tp_group";
-    if constexpr (requires { model.config().tp.size; }) {
-      LS2_CHECK(model.config().tp.size == cluster.tensor_parallel)
-          << "model was built with tp.size = " << model.config().tp.size
-          << " but cluster.tensor_parallel = " << cluster.tensor_parallel;
+    LS2_CHECK(rows % m_ == 0 && rows >= m_)
+        << "batch size " << rows << " must split into " << m_ << " equal microbatches";
+    mb_rows_ = rows / m_;
+    LS2_CHECK(plan_.stages == pp_) << "plan stages " << plan_.stages << " vs pp " << pp_;
+    size_t covered = 0;
+    for (const auto& stage_spans : spans_) {
+      for (const auto& [lo, hi] : stage_spans) covered += hi - lo;
     }
-    const dist::ProcessGroup::Stats tp0 =
-        tp_group ? tp_group->stats() : dist::ProcessGroup::Stats{};
-    // Rank math / p2p costs are pure functions of the cluster, so a local
-    // group serves even when the caller installed none (pp without tp).
-    dist::ProcessGroup pgroup(cluster);
-
-    const layers::PpPlan& plan = model.pp_configure(pp);
-    LS2_CHECK(plan.stages == pp) << "plan stages " << plan.stages << " vs pp " << pp;
-    auto& params = model.params();
-    const auto spans = layers::stage_byte_spans(plan, params);
-    {
-      size_t covered = 0;
-      for (const auto& stage_spans : spans) {
-        for (const auto& [lo, hi] : stage_spans) covered += hi - lo;
-      }
-      LS2_CHECK(covered == params.flat_grad_bytes())
-          << "stage partition covers " << covered << " of "
-          << params.flat_grad_bytes() << " gradient bytes";
-    }
-
-    auto state = std::static_pointer_cast<PpState>(session.pp_state);
-    if (!state) {
-      state = std::make_shared<PpState>();
-      state->remote_dev = std::make_unique<simgpu::Device>(dev.profile(), dev.mode());
+    LS2_CHECK(covered == params_.flat_grad_bytes())
+        << "stage partition covers " << covered << " of " << params_.flat_grad_bytes()
+        << " gradient bytes";
+    if (!session.pp_state) {
+      auto state = std::make_shared<PpState>();
+      state->remote_dev = std::make_unique<simgpu::Device>(dev_.profile(), dev_.mode());
       state->remote_alloc = std::make_unique<mem::CachingAllocator>(
-          *state->remote_dev, dev.mode() == simgpu::ExecMode::kExecute
+          *state->remote_dev, dev_.mode() == simgpu::ExecMode::kExecute
                                   ? mem::DeviceAllocator::Backing::kMalloc
                                   : mem::DeviceAllocator::Backing::kVirtual);
-      session.pp_state = state;
+      session.pp_state = std::move(state);
+      for (int s = 0; s < pp_ && session.config().record_timeline; ++s) {
+        const int pid = pgroup_.rank_of(0, s, 0);  // one trace process per rank
+        dev_.timeline().name_process(
+            pid, "rank " + std::to_string(pid) + " (stage " + std::to_string(s) + ")");
+      }
     }
-
-    const GraphAction graph_action = session.begin_step();
-    struct GraphRegionGuard {
-      simgpu::Device& dev;
-      bool active = false;
-      ~GraphRegionGuard() {
-        if (active) dev.abort_graph();
-      }
-    } graph_guard{dev};
-
-    // Zero gradients ONCE: microbatch gradients accumulate on top.
-    const double tz = dev.clock_us();
-    {
-      simgpu::ScopedRange r(dev, "zero_grad");
-      if (graph_action == GraphAction::kCapture) {
-        dev.begin_capture();
-        graph_guard.active = true;
-      } else if (graph_action == GraphAction::kReplay) {
-        dev.begin_replay(*session.step_graph());
-        graph_guard.active = true;
-        times.replayed = true;
-      }
-      zero_grads_charged(session, params);
-    }
-    const double t0 = dev.clock_us();
-    times.zero_grad_us = t0 - tz;
-
-    // --- measured chunk durations + boundary payloads ---
-    auto su = [](int x) { return static_cast<size_t>(x); };
-    std::vector<std::vector<double>> fdur(su(pp), std::vector<double>(su(m), 0.0));
-    std::vector<std::vector<double>> bdur = fdur;
-    std::vector<int64_t> fwd_bytes(su(pp - 1), 0), bwd_bytes(su(pp - 1), 0);
-    struct NotifyEvent {
-      int stage;
-      size_t lo, hi;
-      double offset;  ///< into the stage's last backward chunk
-    };
-    std::vector<NotifyEvent> notified;
-
-    int cur_stage = 0, cur_mb = 0;
-    bool cur_fwd = true, chunk_open = false;
-    double chunk_begin = 0.0;
-    BufferAllocator* const local_act = ctx.activation_allocator();
-    std::vector<Tensor> residency;  // stand-ins for in-flight 1F1B activations
-    const int64_t act_base = session.activations().bytes_in_use();
-
-    struct CtxRestore {
-      layers::LayerContext& ctx;
-      BufferAllocator* act;
-      ~CtxRestore() {
-        ctx.pp = nullptr;
-        ctx.pp_loss_carry = nullptr;
-        ctx.pp_metric_carry = nullptr;
-        ctx.pp_denominator = 0;
-        ctx.pp_flush = false;
-        ctx.kern.microbatch = 0;
-        ctx.set_activation_allocator(act);
-      }
-    } ctx_restore{ctx, local_act};
-
-    layers::PpHooks hooks;
-    hooks.enter = [&](int stage, bool forward, int64_t payload) {
-      LS2_CHECK(stage >= 0 && stage < pp) << "pp_enter stage " << stage;
-      const double now = dev.clock_us();
-      if (chunk_open) {
-        (cur_fwd ? fdur : bdur)[su(cur_stage)][su(cur_mb)] += now - chunk_begin;
-      }
-      if (cur_mb == 0) {  // microbatches are equal-sized: record payloads once
-        if (forward && stage > 0) {
-          fwd_bytes[su(stage - 1)] = payload;
-        } else if (!forward && stage + 1 < pp) {
-          bwd_bytes[su(stage)] = payload;
-        }
-      }
-      // Leaving stage 0 for the first time: one microbatch's stage-0
-      // activation footprint is now live; a real 1F1B stage 0 holds
-      // min(pp, m) such sets at its steady-state peak, so reserve the
-      // difference for honest arena/capacity accounting.
-      if (forward && stage == 1 && cur_mb == 0 && residency.empty()) {
-        const int64_t live = session.activations().bytes_in_use() - act_base;
-        for (int i = std::min(pp, m) - 1; i > 0 && live > 0; --i) {
-          residency.push_back(Tensor::empty({live}, DType::kU8, local_act));
-        }
-      }
-      ctx.set_activation_allocator(stage == 0 ? local_act : state->remote_alloc.get());
-      cur_stage = stage;
-      cur_fwd = forward;
-      chunk_begin = now;
-      chunk_open = true;
-    };
-    ctx.pp = &hooks;
 
     int32_t pad_id = 0;
     if constexpr (requires { model.config().pad_id; }) pad_id = model.config().pad_id;
-    const int64_t denom = pp_global_denominator(
-        batch, pad_id, dev.mode() == simgpu::ExecMode::kExecute);
-    double loss_carry = 0.0, metric_carry = 0.0;
-    ctx.pp_loss_carry = &loss_carry;
-    ctx.pp_metric_carry = &metric_carry;
-    ctx.pp_denominator = denom;
-    ctx.loss_scale = trainer.loss_scale();
+    denom_ = pp_global_denominator(batch, pad_id, dev_.mode() == simgpu::ExecMode::kExecute);
+    hooks_.enter = [this](int stage, bool forward, int64_t payload) {
+      enter(stage, forward, payload);
+    };
+    ctx_.pp = &hooks_;
+    ctx_.pp_loss_carry = &loss_carry_;
+    ctx_.pp_metric_carry = &metric_carry_;
+    ctx_.pp_denominator = denom_;
+  }
 
-    // --- run the m microbatches (ascending: the accumulation order that is
-    // bitwise the full-batch reduction) ---
-    ResultT result{};
-    const int64_t mb_rows = rows / m;
-    for (int j = 0; j < m; ++j) {
-      cur_mb = j;
-      kc.microbatch = static_cast<uint64_t>(j);
-      kc.dropout_site = 1;  // every microbatch walks the full batch's site order
-      ctx.pp_flush = (j == m - 1);  // layers flush deferred tied-table work
-      const BatchT mb = pp_slice_batch(batch, j * mb_rows, (j + 1) * mb_rows);
-      if (j == m - 1) {
-        // Gradients are FINAL only on the last microbatch: record each
-        // notification's stage + offset into that stage's backward chunk,
-        // the inputs of the per-stage DP bucket schedule below.
-        params.set_grad_ready_callback([&](const layers::ParamRange& range) {
-          if (range.empty()) return;
-          const size_t lo = params.grad_byte_span(range.begin).first;
-          const size_t hi = params.grad_byte_span(range.end - 1).second;
-          const int stage = layers::stage_of_byte(spans, lo);
-          LS2_CHECK(stage >= 0) << "grad-ready range outside the stage plan";
-          notified.push_back({stage, lo, hi, dev.clock_us() - chunk_begin});
-        });
-      }
-      {
-        simgpu::ScopedRange r(dev, "forward");
-        chunk_open = false;  // the model's pp_enter(0, true) opens stage 0
-        result = model.forward(ctx, mb);
-        if (chunk_open) {
-          fdur[su(cur_stage)][su(j)] += dev.clock_us() - chunk_begin;
-        }
-        chunk_open = false;
-      }
-      {
-        simgpu::ScopedRange r(dev, "backward");
-        model.backward(ctx);
-        if (chunk_open) {
-          bdur[su(cur_stage)][su(j)] += dev.clock_us() - chunk_begin;
-        }
-        chunk_open = false;
-      }
+  ~PpStep() {
+    params_.clear_grad_ready_callback();
+    ctx_.pp = nullptr;
+    ctx_.pp_loss_carry = nullptr;
+    ctx_.pp_metric_carry = nullptr;
+    ctx_.pp_denominator = 0;
+    ctx_.pp_flush = false;
+    ctx_.kern.microbatch = 0;
+    ctx_.set_activation_allocator(local_act_);
+  }
+  PpStep(const PpStep&) = delete;
+  PpStep& operator=(const PpStep&) = delete;
+
+  /// Microbatch j of `batch`, with the context set up to run it. Callers
+  /// run j = 0..m-1 in ascending order: the accumulation order that is
+  /// bitwise the full-batch reduction.
+  template <typename BatchT>
+  BatchT microbatch(const BatchT& batch, int j) {
+    cur_mb_ = j;
+    ctx_.kern.microbatch = static_cast<uint64_t>(j);
+    ctx_.kern.dropout_site = 1;  // every microbatch walks the full batch's site order
+    ctx_.pp_flush = (j == m_ - 1);  // layers flush deferred tied-table work
+    if (j == m_ - 1) {
+      // Gradients are FINAL only on the last microbatch: record each
+      // notification's stage + offset into that stage's backward chunk,
+      // the inputs of the per-stage DP bucket schedule in finish().
+      params_.set_grad_ready_callback([this](const layers::ParamRange& range) {
+        if (range.empty()) return;
+        const size_t lo = params_.grad_byte_span(range.begin).first;
+        const size_t hi = params_.grad_byte_span(range.end - 1).second;
+        const int stage = layers::stage_of_byte(spans_, lo);
+        LS2_CHECK(stage >= 0) << "grad-ready range outside the stage plan";
+        notified_.push_back({stage, lo, hi, dev_.clock_us() - chunk_begin_});
+      });
     }
-    params.clear_grad_ready_callback();
+    chunk_open_ = false;  // the model's pp_enter(0, true) opens stage 0
+    return pp_slice_batch(batch, j * mb_rows_, (j + 1) * mb_rows_);
+  }
+
+  /// Close the open stage chunk at the device clock; called after each
+  /// microbatch's forward and after its backward.
+  void close_chunk() {
+    if (chunk_open_) {
+      (cur_fwd_ ? fdur_ : bdur_)[su(cur_stage_)][su(cur_mb_)] +=
+          dev_.clock_us() - chunk_begin_;
+    }
+    chunk_open_ = false;
+  }
+
+  /// Stages 3 + 4 after the last microbatch: reconstruct the 1F1B lanes
+  /// from the measured chunks, lay every stage's DP bucket rings on its
+  /// own analytic comm lane, run the real optimizer updates, and record
+  /// the per-rank trace lanes. Fills `times` for the rank-0 lane and the
+  /// result's global token count.
+  template <typename ResultT>
+  void finish(StepTimes& times, optim::Optimizer& trainer, ResultT& result) {
     if constexpr (requires { result.tokens; }) {
-      result.tokens = denom;  // the last microbatch's carry holds the global sum
+      result.tokens = denom_;  // the last microbatch's carry holds the global sum
     }
-
-    // Close the static region (same discipline as the non-PP step).
-    if (graph_action == GraphAction::kCapture) {
-      session.store_graph(dev.end_capture());
-      graph_guard.active = false;
-    } else if (graph_action == GraphAction::kReplay) {
-      dev.end_replay();
-      graph_guard.active = false;
-    }
-
+    const dist::ClusterConfig& cluster = pgroup_.cluster();
     // --- reconstruct the 1F1B schedule from the measured chunks ---
-    dist::PipelineScheduleInput sin;
-    sin.stages = pp;
-    sin.microbatches = m;
-    sin.f = fdur;
-    sin.b = bdur;
-    for (int s = 0; s + 1 < pp; ++s) {
-      sin.fwd_p2p_us.push_back(pgroup.stage_send_us(fwd_bytes[su(s)], s, dev.profile()));
-      sin.bwd_p2p_us.push_back(pgroup.stage_send_us(bwd_bytes[su(s)], s, dev.profile()));
+    dist::PipelineScheduleInput sin{pp_, m_, fdur_, bdur_, {}, {}};
+    for (int s = 0; s + 1 < pp_; ++s) {
+      sin.fwd_p2p_us.push_back(pgroup_.stage_send_us(fwd_bytes_[su(s)], s, dev_.profile()));
+      sin.bwd_p2p_us.push_back(pgroup_.stage_send_us(bwd_bytes_[su(s)], s, dev_.profile()));
     }
     const dist::PipelineSchedule sched = dist::solve_1f1b(sin);
-    for (int j = 0; j < m; ++j) {
-      times.forward_us += fdur[0][su(j)];
-      times.backward_us += bdur[0][su(j)];
-    }
+    times.forward_us = std::accumulate(fdur_[0].begin(), fdur_[0].end(), 0.0);
+    times.backward_us = std::accumulate(bdur_[0].begin(), bdur_[0].end(), 0.0);
     times.pp_bubble_us = sched.lanes[0].bubble_us;
     times.pp_exposed_us = sched.lanes[0].comm_idle_us;
-    times.pp_comm_us = m * (sin.fwd_p2p_us[0] + sin.bwd_p2p_us[0]);
+    times.pp_comm_us = m_ * (sin.fwd_p2p_us[0] + sin.bwd_p2p_us[0]);
 
-    std::vector<double> bstart_last(su(pp), 0.0), bend_last(su(pp), 0.0);
-    for (int s = 0; s < pp; ++s) {
-      for (const dist::PipelineChunk& c : sched.lanes[su(s)].chunks) {
-        if (!c.forward && c.microbatch == m - 1) {
-          bstart_last[su(s)] = c.begin_us;
-          bend_last[su(s)] = c.end_us;
-        }
-      }
-    }
+    // Every lane's 1F1B slot order ends with the last microbatch's backward.
+    auto last_backward = [&](int s) -> const dist::PipelineChunk& {
+      return sched.lanes[su(s)].chunks.back();
+    };
 
     // Tied embedding table: declared on stage 0, last written by the final
     // stage's criterion backward — its accumulated gradient rides one extra
     // p2p hop home before stage 0's bucket can ring.
     double tied_arrival = -1.0;
     size_t tied_lo = 0, tied_hi = 0;
-    if (plan.tied_table_bytes > 0) {
+    if (plan_.tied_table_bytes > 0) {
       const double hop =
-          pgroup.send_us(plan.tied_table_bytes, pgroup.rank_of(0, pp - 1, 0),
-                         pgroup.rank_of(0, 0, 0), dev.profile());
-      tied_arrival = bend_last[su(pp - 1)] + hop;
+          pgroup_.send_us(plan_.tied_table_bytes, pgroup_.rank_of(0, pp_ - 1, 0),
+                          pgroup_.rank_of(0, 0, 0), dev_.profile());
+      tied_arrival = last_backward(pp_ - 1).end_us + hop;
       times.pp_comm_us += hop;
-      std::tie(tied_lo, tied_hi) = params.grad_byte_span(plan.tied_param.index);
+      std::tie(tied_lo, tied_hi) = params_.grad_byte_span(plan_.tied_param.index);
     }
 
     // --- per-stage DP sync + pipelined range-granular update ---
@@ -409,9 +303,9 @@ auto train_step_pp(Session& session, ModelT& model, const BatchT& batch,
     };
     std::vector<PpBucket> buckets;
     if (sync_needed) {
-      const int64_t cap = dist::effective_bucket_bytes(cluster, dev.profile());
-      for (const NotifyEvent& e : notified) {
-        const double ready = bstart_last[su(e.stage)] + e.offset;
+      const int64_t cap = dist::effective_bucket_bytes(cluster, dev_.profile());
+      for (const NotifyEvent& e : notified_) {
+        const double ready = last_backward(e.stage).begin_us + e.offset;
         PpBucket* back = buckets.empty() ? nullptr : &buckets.back();
         const bool adjacent =
             back && back->stage == e.stage && (e.hi == back->lo || e.lo == back->hi);
@@ -431,31 +325,31 @@ auto train_step_pp(Session& session, ModelT& model, const BatchT& batch,
       }
       size_t covered = 0;
       for (const PpBucket& bk : buckets) covered += bk.hi - bk.lo;
-      LS2_CHECK(covered == params.flat_grad_bytes())
+      LS2_CHECK(covered == params_.flat_grad_bytes())
           << "grad-ready notifications tile " << covered << " of "
-          << params.flat_grad_bytes() << " gradient bytes";
+          << params_.flat_grad_bytes() << " gradient bytes";
     } else {
-      for (int s = 0; s < pp; ++s) {
-        for (const auto& [lo, hi] : spans[su(s)]) buckets.push_back({s, lo, hi, 0.0});
+      for (int s = 0; s < pp_; ++s) {
+        for (const auto& [lo, hi] : spans_[su(s)]) buckets.push_back({s, lo, hi, 0.0});
       }
     }
 
     // Each stage is a different rank: its bucket rings serialize on its OWN
     // comm lane, independent of the other stages'.
-    std::vector<double> comm_clock(su(pp), 0.0);
+    std::vector<double> comm_clock(su(pp_), 0.0);
     double ring0_us = 0;
     int64_t stage0_bytes = 0;
-    for (const auto& [lo, hi] : spans[0]) stage0_bytes += static_cast<int64_t>(hi - lo);
+    for (const auto& [lo, hi] : spans_[0]) stage0_bytes += static_cast<int64_t>(hi - lo);
     // A stragglered link stretches every analytic DP ring this step, exactly
     // as Device::enqueue_comm stretches real comm-stream transfers.
     const double link_factor =
-        dev.fault_injector() != nullptr ? dev.fault_injector()->comm_factor() : 1.0;
+        dev_.fault_injector() != nullptr ? dev_.fault_injector()->comm_factor() : 1.0;
     if (sync_needed) {
       for (PpBucket& bk : buckets) {
         const int64_t wire = dist::wire_payload_bytes(
-            static_cast<int64_t>(bk.hi - bk.lo), params.dtype(), cluster.wire_dtype);
+            static_cast<int64_t>(bk.hi - bk.lo), params_.dtype(), cluster.wire_dtype);
         const double ring =
-            dist::ring_allreduce_us(wire, cluster, dev.profile()) * link_factor;
+            dist::ring_allreduce_us(wire, cluster, dev_.profile()) * link_factor;
         double& lane = comm_clock[su(bk.stage)];
         lane = std::max(lane, bk.ready_us) + ring;
         bk.done_us = lane;
@@ -465,29 +359,29 @@ auto train_step_pp(Session& session, ModelT& model, const BatchT& batch,
         }
       }
       times.sync_blocking_us = dist::ring_allreduce_us(
-          dist::wire_payload_bytes(stage0_bytes, params.dtype(), cluster.wire_dtype),
-          cluster, dev.profile());
+          dist::wire_payload_bytes(stage0_bytes, params_.dtype(), cluster.wire_dtype),
+          cluster, dev_.profile());
     }
 
-    // The PP engine's DP sync is analytic (comm_clock lanes above, no device
-    // comm-stream calls), so the failure-detection sync point fires
-    // explicitly here — the boundary where averaged gradients materialize.
-    dev.at_sync_point("synchronize");
+    // The DP sync is analytic (comm_clock lanes above, no device comm-stream
+    // calls), so the failure-detection sync point fires explicitly here —
+    // the boundary where averaged gradients materialize.
+    dev_.at_sync_point("synchronize");
 
     // Updates execute for real over every stage's ranges (the numerics need
     // the whole model updated; step_range is order-independent), while the
     // StepTimes lane tracks only stage 0: wait for each stage-0 bucket's
-    // ring, then its update — pipelined exactly like the non-PP path.
+    // ring, then its update — pipelined exactly like the pp = 1 path.
     trainer.begin_step();
-    double cursor = bend_last[0];  // stage 0's compute lane ends its 1F1B step
+    double cursor = last_backward(0).end_us;  // stage 0's compute lane ends its step
     const double comm_drain0 = comm_clock[0];
     double update0_us = 0;
     {
-      simgpu::ScopedRange r(dev, "update");
+      simgpu::ScopedRange r(dev_, "update");
       for (const PpBucket& bk : buckets) {
-        const double u0 = dev.clock_us();
-        trainer.step_range(kc, bk.lo, bk.hi);
-        const double dur = dev.clock_us() - u0;
+        const double u0 = dev_.clock_us();
+        trainer.step_range(ctx_.kern, bk.lo, bk.hi);
+        const double dur = dev_.clock_us() - u0;
         if (bk.stage != 0) continue;
         if (sync_needed) {
           times.sync_us += std::max(0.0, bk.done_us - cursor);
@@ -504,70 +398,101 @@ auto train_step_pp(Session& session, ModelT& model, const BatchT& batch,
     times.sync_overlapped_us = std::max(0.0, ring0_us - times.sync_us);
     // Detection bookkeeping for the analytic lanes: stage 0's exposed DP
     // wait is what a watchdog would observe at this sync boundary.
-    if (dev.fault_injector() != nullptr) {
-      dev.fault_injector()->note_exposed_wait(times.sync_us, dev.clock_us());
+    if (dev_.fault_injector() != nullptr) {
+      dev_.fault_injector()->note_exposed_wait(times.sync_us, dev_.clock_us());
     }
 
-    if constexpr (requires { model.tp_finish_step(trainer); }) {
-      model.tp_finish_step(trainer);
-    }
-
-    // --- named trace spans: the reconstructed per-rank 1F1B lanes ---
-    if (session.config().record_timeline) {
-      simgpu::Timeline& tl = dev.timeline();
-      const double base = state->trace_base_us;
+    // --- named trace spans: the reconstructed per-rank 1F1B lanes, on a
+    // virtual time base that advances per step ---
+    if (session_.config().record_timeline) {
+      double extent = std::max(sched.makespan_us, cursor);
+      for (double lane : comm_clock) extent = std::max(extent, lane);
+      simgpu::Timeline& tl = dev_.timeline();
+      const double base = session_.pp_state->trace_base_us;
+      tl.record_span(pgroup_.rank_of(0, 0, 0), 0, "step", base, base + extent);
       char name[64];
-      for (int s = 0; s < pp; ++s) {
-        const int pid = pgroup.rank_of(0, s, 0);
-        if (!state->trace_named) {
-          tl.name_process(pid, "rank " + std::to_string(pid) + " (stage " +
-                                   std::to_string(s) + ")");
-        }
+      for (int s = 0; s < pp_; ++s) {
+        const int pid = pgroup_.rank_of(0, s, 0);
         for (const dist::PipelineChunk& c : sched.lanes[su(s)].chunks) {
           std::snprintf(name, sizeof(name), "s%d.mb%d.%s", s, c.microbatch,
                         c.forward ? "F" : "B");
           tl.record_span(pid, 0, name, base + c.begin_us, base + c.end_us);
-          if (c.forward && s + 1 < pp) {
-            std::snprintf(name, sizeof(name), "s%d>s%d.mb%d.act", s, s + 1,
-                          c.microbatch);
+          if (c.forward && s + 1 < pp_) {
+            std::snprintf(name, sizeof(name), "s%d>s%d.mb%d.act", s, s + 1, c.microbatch);
             tl.record_span(pid, 1, name, base + c.end_us,
                            base + c.end_us + sin.fwd_p2p_us[su(s)]);
           } else if (!c.forward && s > 0) {
-            std::snprintf(name, sizeof(name), "s%d>s%d.mb%d.grad", s, s - 1,
-                          c.microbatch);
+            std::snprintf(name, sizeof(name), "s%d>s%d.mb%d.grad", s, s - 1, c.microbatch);
             tl.record_span(pid, 1, name, base + c.end_us,
                            base + c.end_us + sin.bwd_p2p_us[su(s - 1)]);
           }
         }
       }
-      state->trace_named = true;
-      double extent = std::max(sched.makespan_us, cursor);
-      for (double lane : comm_clock) extent = std::max(extent, lane);
-      state->trace_base_us = base + extent + 100.0;
+      session_.pp_state->trace_base_us = base + extent + 100.0;
     }
-
-    residency.clear();  // before the arena's end-of-step reset
-    session.end_step();
-
-    if (tp_group != nullptr) {
-      const dist::ProcessGroup::Stats tp1 = tp_group->stats();
-      times.tp_comm_us = tp1.comm_us - tp0.comm_us;
-      times.tp_exposed_us = tp1.exposed_us - tp0.exposed_us;
-      times.tp_bytes = tp1.bytes - tp0.bytes;
-    }
-    if (obs::MetricsRegistry* mreg = session.metrics()) {
-      mreg->counter("train.pp.steps") += 1;
-      mreg->histogram("train.step_us").record(times.total_us());
-      mreg->histogram("train.forward_us").record(times.forward_us);
-      mreg->histogram("train.backward_us").record(times.backward_us);
-      mreg->histogram("train.sync_us").record(times.sync_us);
-      mreg->histogram("train.update_us").record(times.update_us);
-      mreg->histogram("train.pp.bubble_us").record(times.pp_bubble_us);
-      mreg->gauge("train.pp.comm_us") = times.pp_comm_us;
-      mreg->gauge("train.pp.exposed_us") = times.pp_exposed_us;
-    }
-    return {times, result};
   }
-}
+
+ private:
+  struct NotifyEvent {
+    int stage;
+    size_t lo, hi;
+    double offset;  ///< into the stage's last backward chunk
+  };
+
+  static size_t su(int x) { return static_cast<size_t>(x); }
+
+  /// The stage-boundary hook (LayerContext::pp_enter).
+  void enter(int stage, bool forward, int64_t payload) {
+    LS2_CHECK(stage >= 0 && stage < pp_) << "pp_enter stage " << stage;
+    close_chunk();
+    const double now = dev_.clock_us();
+    if (cur_mb_ == 0) {  // microbatches are equal-sized: record payloads once
+      if (forward && stage > 0) {
+        fwd_bytes_[su(stage - 1)] = payload;
+      } else if (!forward && stage + 1 < pp_) {
+        bwd_bytes_[su(stage)] = payload;
+      }
+    }
+    // Leaving stage 0 for the first time: one microbatch's stage-0
+    // activation footprint is now live; a real 1F1B stage 0 holds
+    // min(pp, m) such sets at its steady-state peak, so reserve the
+    // difference for honest arena/capacity accounting.
+    if (forward && stage == 1 && cur_mb_ == 0 && residency_.empty()) {
+      const int64_t live = session_.activations().bytes_in_use() - act_base_;
+      for (int i = std::min(pp_, m_) - 1; i > 0 && live > 0; --i) {
+        residency_.push_back(Tensor::empty({live}, DType::kU8, local_act_));
+      }
+    }
+    ctx_.set_activation_allocator(stage == 0 ? local_act_ : session_.pp_state->remote_alloc.get());
+    cur_stage_ = stage;
+    cur_fwd_ = forward;
+    chunk_begin_ = now;
+    chunk_open_ = true;
+  }
+
+  Session& session_;
+  simgpu::Device& dev_;
+  layers::LayerContext& ctx_;
+  const int pp_, m_;
+  // Rank math / p2p costs are pure functions of the cluster, so a local
+  // group serves even when the caller installed none (pp without tp).
+  dist::ProcessGroup pgroup_;
+  const layers::PpPlan& plan_;
+  layers::ParamRegistry& params_;
+  const std::vector<std::vector<std::pair<size_t, size_t>>> spans_;
+  // Measured chunk durations [stage][microbatch] and boundary payloads.
+  std::vector<std::vector<double>> fdur_, bdur_;
+  std::vector<int64_t> fwd_bytes_, bwd_bytes_;
+  std::vector<NotifyEvent> notified_;
+  BufferAllocator* const local_act_;
+  const int64_t act_base_;
+  int64_t mb_rows_ = 0, denom_ = 0;
+  int cur_stage_ = 0, cur_mb_ = 0;
+  bool cur_fwd_ = true, chunk_open_ = false;
+  double chunk_begin_ = 0.0;
+  std::vector<Tensor> residency_;  // stand-ins for in-flight 1F1B activations
+  layers::PpHooks hooks_;
+  double loss_carry_ = 0.0, metric_carry_ = 0.0;
+};
 
 }  // namespace ls2::core::pp_detail

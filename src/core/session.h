@@ -13,6 +13,10 @@
 
 namespace ls2::core {
 
+namespace pp_detail {
+struct PpState;  // core/pp_step.h
+}  // namespace pp_detail
+
 struct SessionConfig {
   layers::System system = layers::System::kLightSeq2;
   simgpu::DeviceProfile profile = simgpu::v100();
@@ -140,9 +144,9 @@ class Session {
 
   /// Cross-step state of the pipeline-parallel engine (core/pp_step.h):
   /// the remote-stage device/allocator pair and the trace time base. Owned
-  /// here (type-erased) so the engine — a header template — keeps its
-  /// warm allocator cache across steps. Null until the first PP step.
-  std::shared_ptr<void> pp_state;
+  /// here so the engine — header-only — keeps its warm allocator cache
+  /// across steps. Null until the first PP step.
+  std::shared_ptr<pp_detail::PpState> pp_state;
 
  private:
   SessionConfig cfg_;

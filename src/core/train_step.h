@@ -18,6 +18,11 @@
 // `sync_overlapped_us`, and the update time that ran while the comm stream
 // was still draining is `update_overlapped_us` (informational — it is
 // contained in `update_us`; the four stages always sum to the step total).
+//
+// Pipeline parallelism is the same step with m = cluster.microbatches
+// forward/backward passes: a pp_detail::PpStep (core/pp_step.h) slices the
+// batch, times every stage chunk, and replaces the comm-stream sync above
+// with analytic per-stage lanes (DESIGN.md §9).
 #pragma once
 
 #include <algorithm>
@@ -26,7 +31,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/pp_step.h"
 #include "core/session.h"
+#include "core/step_times.h"
 #include "dist/allreduce.h"
 #include "dist/bucket.h"
 #include "obs/span.h"
@@ -34,113 +41,49 @@
 
 namespace ls2::core {
 
-struct StepTimes {
-  double forward_us = 0;
-  double backward_us = 0;
-  double sync_us = 0;    ///< EXPOSED synchronize time (critical path)
-  double update_us = 0;  ///< trainer step + gradient zeroing
-  /// Informational sub-component of update_us: zeroing the gradient buffers
-  /// (its own "zero_grad" device range; charged to the update stage so the
-  /// four stages still sum to the step total).
-  double zero_grad_us = 0;
-  /// Comm time hidden under backward or under per-bucket updates (runs
-  /// concurrently; not in total_us).
-  double sync_overlapped_us = 0;
-  /// Informational sub-component of update_us: optimizer time that ran while
-  /// the comm stream was still draining later buckets (the pipelined-update
-  /// lane; 0 without cluster.pipeline_update).
-  double update_overlapped_us = 0;
-  /// What one blocking ring over all gradients would have cost.
-  double sync_blocking_us = 0;
-  /// Modeled gradient payload this rank put on the ring, at the wire dtype
-  /// (ClusterConfig::wire_dtype; kF16 halves the FP32-wire default).
-  int64_t wire_bytes = 0;
-  /// This step replayed the session's captured StepGraph: the
-  /// zero-grad/forward/backward region ran as ONE graph launch with no
-  /// per-kernel launch gaps (SessionConfig::graph_capture).
-  bool replayed = false;
-  // --- tensor parallelism (DESIGN §7; 0 when cluster.tensor_parallel == 1).
-  // TP collectives run inside forward/backward on the comm stream; their
-  // exposed waits are already contained in forward_us/backward_us.
-  double tp_comm_us = 0;     ///< TP collective time enqueued this step
-  double tp_exposed_us = 0;  ///< portion the compute stream waited on
-  int64_t tp_bytes = 0;      ///< logical TP payload bytes this step
-  // --- pipeline parallelism (DESIGN §9; 0 when cluster.pipeline_parallel
-  // == 1). All three describe rank 0's (stage 0's) 1F1B lane: forward_us /
-  // backward_us above hold only stage 0's compute chunks, so the lane's
-  // idle time is reported separately and total_us() stays rank 0's wall
-  // clock.
-  double pp_bubble_us = 0;   ///< 1F1B schedule idle on the rank-0 lane
-  double pp_comm_us = 0;     ///< boundary p2p time touching rank 0
-  double pp_exposed_us = 0;  ///< p2p waits on the rank-0 critical path
-  double total_us() const {
-    return forward_us + backward_us + sync_us + update_us + pp_bubble_us +
-           pp_exposed_us;
-  }
-};
-
 /// Zero all gradients with charged device kernels: one launch over the flat
 /// workspace under LightSeq2, one per tensor for the baselines.
 inline void zero_grads_charged(Session& session, layers::ParamRegistry& params) {
   LS2_CHECK(params.materialized()) << "zero_grads_charged before materialize";
-  auto& dev = session.device();
-  if (params.contiguous()) {
-    Tensor flat = params.flat_grads();
+  const bool flat = params.contiguous();
+  auto zero = [&](Tensor g) {
     simgpu::KernelDesc d;
-    d.name = "ls2.zero_grad";
-    d.bytes_written = static_cast<int64_t>(flat.bytes());
-    d.mem_efficiency = 0.9;
-    dev.launch(d, [&] { flat.zero_(); });
-    return;
-  }
-  for (int i = 0; i < params.size(); ++i) {
-    Tensor g = params.grad({i});
-    simgpu::KernelDesc d;
-    d.name = "torch.zero_grad";
+    d.name = flat ? "ls2.zero_grad" : "torch.zero_grad";
     d.bytes_written = static_cast<int64_t>(g.bytes());
-    d.mem_efficiency = 0.7;
-    dev.launch(d, [&] { g.zero_(); });
-  }
+    d.mem_efficiency = flat ? 0.9 : 0.7;
+    session.device().launch(d, [&] { g.zero_(); });
+  };
+  if (flat) return zero(params.flat_grads());
+  for (int i = 0; i < params.size(); ++i) zero(params.grad({i}));
 }
 
-namespace pp_detail {
-/// 1F1B pipeline-parallel step (core/pp_step.h, included at the bottom of
-/// this header): slices the batch into cluster.microbatches microbatches,
-/// drives each through the full model with per-stage boundary accounting,
-/// and reconstructs the 1F1B schedule for StepTimes.
-template <typename ModelT, typename BatchT>
-auto train_step_pp(Session& session, ModelT& model, const BatchT& batch,
-                   optim::Optimizer& trainer, const dist::ClusterConfig& cluster)
-    -> std::pair<StepTimes,
-                 decltype(std::declval<ModelT&>().forward(
-                     std::declval<Session&>().ctx(), std::declval<const BatchT&>()))>;
-}  // namespace pp_detail
-
-/// Run one data-parallel training step on this device; other replicas are
-/// assumed identical (their compute time equals ours; the all-reduce time
-/// comes from the ring model). Returns per-stage times and the forward
-/// result (loss/accuracy struct of the model).
+/// Run one training step on this device, which simulates rank 0; other
+/// replicas are assumed identical (their compute time equals ours; the
+/// all-reduce time comes from the ring model). Returns per-stage times and
+/// the forward result (loss/accuracy struct of the model).
 template <typename ModelT, typename BatchT>
 auto train_step(Session& session, ModelT& model, const BatchT& batch,
                 optim::Optimizer& trainer, const dist::ClusterConfig& cluster = {})
     -> std::pair<StepTimes, decltype(model.forward(session.ctx(), batch))> {
-  if (cluster.pipeline_parallel > 1) {
-    return pp_detail::train_step_pp(session, model, batch, trainer, cluster);
-  }
+  cluster.validate();
   auto& dev = session.device();
+  layers::LayerContext& ctx = session.ctx();
+  const int pp = cluster.pipeline_parallel;
   StepTimes times;
+  // Under PP, rank 0's trace lane carries the reconstructed 1F1B chunks;
+  // device-clock stage spans would break their nesting, so they only attribute.
+  const int lane = pp > 1 ? obs::SpanScope::kNoTrace : 0;
   // Telemetry envelope: the whole-step trace span. attribute=false — it
   // must NOT become a device range, or it would absorb the attribution of
   // the stage ranges below (innermost wins) and change the Fig. 3 sums.
-  obs::SpanScope step_span(dev, "step", /*pid=*/0, /*tid=*/0,
-                           /*attribute=*/false);
+  obs::SpanScope step_span(dev, "step", lane, /*tid=*/0, /*attribute=*/false);
   // Hybrid data x model parallel composition: the model's TP collectives
   // charge through the session context's ProcessGroup, and the gradient
   // ring below runs over the dp_size() replicas of this shard. The three
   // TP settings (cluster, session ProcessGroup, model config) must agree
   // in BOTH directions — a half-wired setup would silently mis-account
   // the very numbers this step reports.
-  dist::ProcessGroup* tp_group = session.ctx().tp_group;
+  dist::ProcessGroup* tp_group = ctx.tp_group;
   LS2_CHECK((tp_group != nullptr ? tp_group->tp_size() : 1) == cluster.tensor_parallel)
       << "cluster.tensor_parallel = " << cluster.tensor_parallel
       << " but the session's ProcessGroup is "
@@ -153,20 +96,28 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   }
   const dist::ProcessGroup::Stats tp0 =
       tp_group ? tp_group->stats() : dist::ProcessGroup::Stats{};
+  std::optional<pp_detail::PpStep> pipe;
+  if constexpr (requires { model.pp_configure(pp); }) {
+    if (pp > 1) pipe.emplace(session, model, batch, cluster);
+  }
+  LS2_CHECK(pp == 1 || pipe) << "model does not implement pp_configure — pipeline "
+                                "parallelism needs a stage partition";
   // Per-step prologue: advances the RNG step offset (the per-step graph
   // parameter) and picks eager / capture / replay for the static region.
   const GraphAction graph_action = session.begin_step();
+  // The DP-sync model is selected by pp. At pp = 1 the bucket rings run on
+  // the device comm stream, where they queue behind the TP collectives and
+  // faults stretch the real transfers. At pp > 1 the device runs every
+  // stage back to back, so PpStep::finish lays analytic per-stage lanes.
   const bool sync_needed = cluster.dp_size() > 1;
-  const bool overlap = sync_needed && cluster.overlap;
+  const bool overlap = !pipe && sync_needed && cluster.overlap;
   const bool pipeline = overlap && cluster.pipeline_update;
-  const int64_t grad_bytes = static_cast<int64_t>(model.params().flat_grad_bytes());
-  const int64_t ring_bytes =
-      sync_needed ? dist::wire_payload_bytes(grad_bytes, model.params().dtype(),
-                                             cluster.wire_dtype)
-                  : 0;
-  times.wire_bytes = ring_bytes;
-  times.sync_blocking_us =
-      sync_needed ? dist::ring_allreduce_us(ring_bytes, cluster, dev.profile()) : 0.0;
+  if (!pipe && sync_needed) {
+    times.wire_bytes = dist::wire_payload_bytes(
+        static_cast<int64_t>(model.params().flat_grad_bytes()), model.params().dtype(),
+        cluster.wire_dtype);
+    times.sync_blocking_us = dist::ring_allreduce_us(times.wire_bytes, cluster, dev.profile());
+  }
 
   // The static region — zero-grad, forward, backward, and the comm enqueues
   // fired from backward — is what gets captured into / replayed from the
@@ -181,14 +132,14 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     }
   } graph_guard{dev};
 
-  // Stage 0 — zero gradients (own device range; charged to update below).
-  // The graph region opens INSIDE the zero_grad range so the one-time
-  // graph-launch overhead of a replay is attributed there — both the
-  // StepTimes stage windows and the per-range (Fig. 3) sums still cover
-  // the whole step.
+  // Stage 0 — zero gradients ONCE (own device range; charged to update
+  // below); microbatch gradients accumulate on top. The graph region opens
+  // INSIDE the zero_grad range so the one-time graph-launch overhead of a
+  // replay is attributed there — both the StepTimes stage windows and the
+  // per-range (Fig. 3) sums still cover the whole step.
   const double tz = dev.clock_us();
   {
-    obs::SpanScope r(dev, "zero_grad");
+    obs::SpanScope r(dev, "zero_grad", lane);
     if (graph_action == GraphAction::kCapture) {
       dev.begin_capture();
       graph_guard.active = true;
@@ -222,22 +173,27 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     }
   }
 
-  // Stage 1 — forward. The criterion multiplies the trainer's expected loss
-  // scale into the backward seed (mixed-precision discipline); the trainer
-  // divides it back out in the update.
-  session.ctx().loss_scale = trainer.loss_scale();
-  decltype(model.forward(session.ctx(), batch)) result;
-  {
-    obs::SpanScope r(dev, "forward");
-    result = model.forward(session.ctx(), batch);
-  }
-  const double t1 = dev.clock_us();
-
-  // Stage 2 — backward; bucket all-reduces launch concurrently as layers
-  // report their gradients final.
-  {
-    obs::SpanScope r(dev, "backward");
-    model.backward(session.ctx());
+  // Stages 1 + 2 — forward and backward, once per microbatch (the whole
+  // batch, unsliced, at pp = 1). The criterion multiplies the trainer's
+  // expected loss scale into the backward seed (mixed-precision
+  // discipline); the trainer divides it back out in the update. At pp = 1,
+  // bucket all-reduces launch as layers report their gradients final.
+  ctx.loss_scale = trainer.loss_scale();
+  decltype(model.forward(ctx, batch)) result{};
+  double t1 = t0;
+  for (int j = 0; j < (pipe ? cluster.microbatches : 1); ++j) {
+    const BatchT mb = pipe ? pipe->microbatch(batch, j) : batch;
+    {
+      obs::SpanScope r(dev, "forward", lane);
+      result = model.forward(ctx, mb);
+      if (pipe) pipe->close_chunk();
+    }
+    t1 = dev.clock_us();
+    {
+      obs::SpanScope r(dev, "backward", lane);
+      model.backward(ctx);
+      if (pipe) pipe->close_chunk();
+    }
   }
   const double t2 = dev.clock_us();
 
@@ -253,7 +209,13 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     graph_guard.active = false;
   }
 
-  if (pipeline) {
+  // Stage windows on the device clock; under PP, finish() replaces them
+  // with stage 0's chunks of the reconstructed 1F1B lane.
+  times.forward_us = t1 - t0;
+  times.backward_us = t2 - t1;
+  if (pipe) {
+    pipe->finish(times, trainer, result);
+  } else if (pipeline) {
     // Stages 3+4 interleaved — per-bucket: wait for the bucket's transfer
     // (exposed sync), then run its optimizer range update (update lane,
     // overlapping the comm stream's later transfers).
@@ -268,7 +230,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
       dev.wait_comm_until(b.done_us, "synchronize");
       obs::SpanScope r(dev, "update");
       const double u0 = dev.clock_us();
-      trainer.step_range(session.ctx().kern, b.byte_begin, b.byte_end);
+      trainer.step_range(ctx.kern, b.byte_begin, b.byte_end);
       const double u1 = dev.clock_us();
       update_work_us += u1 - u0;
       times.update_overlapped_us += std::max(0.0, std::min(u1, comm_drain_us) - u0);
@@ -305,7 +267,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     // Stage 4 — update.
     {
       obs::SpanScope r(dev, "update");
-      trainer.step(session.ctx().kern);
+      trainer.step(ctx.kern);
     }
     const double t4 = dev.clock_us();
     times.sync_us = t3 - t2;
@@ -317,6 +279,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   if constexpr (requires { model.tp_finish_step(trainer); }) {
     model.tp_finish_step(trainer);
   }
+  pipe.reset();  // frees the 1F1B residency stand-ins before the arena rewinds
   session.end_step();
 
   if (tp_group != nullptr) {
@@ -325,26 +288,24 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     times.tp_exposed_us = tp1.exposed_us - tp0.exposed_us;
     times.tp_bytes = tp1.bytes - tp0.bytes;
   }
-  times.forward_us = t1 - t0;
-  times.backward_us = t2 - t1;
-  if (obs::MetricsRegistry* m = session.metrics()) {
-    m->counter("train.steps") += 1;
-    if (times.replayed) m->counter("train.replayed_steps") += 1;
-    m->counter("train.wire_bytes") += times.wire_bytes;
-    m->histogram("train.step_us").record(times.total_us());
-    m->histogram("train.forward_us").record(times.forward_us);
-    m->histogram("train.backward_us").record(times.backward_us);
-    m->histogram("train.sync_us").record(times.sync_us);
-    m->histogram("train.update_us").record(times.update_us);
-    m->gauge("train.sync_overlapped_us") = times.sync_overlapped_us;
-    m->gauge("train.sync_blocking_us") = times.sync_blocking_us;
+  if (obs::MetricsRegistry* reg = session.metrics()) {
+    reg->counter("train.steps") += 1;
+    if (times.replayed) reg->counter("train.replayed_steps") += 1;
+    reg->counter("train.wire_bytes") += times.wire_bytes;
+    reg->histogram("train.step_us").record(times.total_us());
+    reg->histogram("train.forward_us").record(times.forward_us);
+    reg->histogram("train.backward_us").record(times.backward_us);
+    reg->histogram("train.sync_us").record(times.sync_us);
+    reg->histogram("train.update_us").record(times.update_us);
+    reg->gauge("train.sync_overlapped_us") = times.sync_overlapped_us;
+    reg->gauge("train.sync_blocking_us") = times.sync_blocking_us;
+    if (pp > 1) {
+      reg->histogram("train.pp.bubble_us").record(times.pp_bubble_us);
+      reg->gauge("train.pp.comm_us") = times.pp_comm_us;
+      reg->gauge("train.pp.exposed_us") = times.pp_exposed_us;
+    }
   }
   return {times, result};
 }
 
 }  // namespace ls2::core
-
-// The pipeline-parallel engine needs StepTimes/Session/zero_grads_charged
-// from above; including it here (instead of the other way round) keeps
-// train_step the single entry point.
-#include "core/pp_step.h"  // IWYU pragma: keep

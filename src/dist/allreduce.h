@@ -26,12 +26,14 @@ struct ClusterConfig {
   int gpus_per_node = 1;
   int nodes = 1;
   /// Overlap bucketed gradient all-reduce with the backward pass (the DDP
-  /// strategy). false => one blocking ring after backward completes.
+  /// strategy). false => one blocking ring after backward completes; only
+  /// valid with pipeline_parallel == 1.
   bool overlap = true;
   /// Apply the optimizer per communication bucket as each all-reduce lands
   /// (Optimizer::step_range on the compute stream), instead of one
   /// monolithic update after the comm stream drains. Only takes effect with
-  /// `overlap`; false reproduces the serial synchronize-then-update schedule.
+  /// `overlap`; false reproduces the serial synchronize-then-update schedule
+  /// (only valid with pipeline_parallel == 1).
   bool pipeline_update = true;
   /// Gradient bucket size cap for the overlapped path (bytes). 25 MB is the
   /// PyTorch-DDP default; smaller buckets start communicating earlier but
@@ -80,9 +82,12 @@ struct ClusterConfig {
 
   /// Reject inconsistent shapes with a clear message at configuration time
   /// (instead of deep inside a group split): dp x tp x pp must exactly
-  /// cover world_size, TP must stay within one node, and the microbatch
-  /// count must be sane. Called by ProcessGroup's constructor and
-  /// core::train_step; callers building configs by hand can call it early.
+  /// cover world_size, TP must stay within one node, the microbatch count
+  /// must be sane, pp > 1 must keep `overlap` and `pipeline_update` on (the
+  /// 1F1B engine always overlaps and pipelines), and an elastic shrink must
+  /// leave at least one data-parallel replica. Called by ProcessGroup's
+  /// constructor and at the top of every core::train_step; callers building
+  /// configs by hand can call it early.
   void validate() const;
 };
 

@@ -24,6 +24,10 @@ namespace ls2::obs {
 
 class SpanScope {
  public:
+  /// A pid that records no trace event: the span only attributes, exactly
+  /// like a ScopedRange.
+  static constexpr int kNoTrace = -1;
+
   /// `attribute` selects whether the span also acts as a device range
   /// (ScopedRange semantics). Pure trace envelopes — e.g. the whole-step
   /// span wrapping the stage ranges — pass false so per-range time sums
@@ -41,7 +45,7 @@ class SpanScope {
 
   ~SpanScope() {
     if (attribute_) device_.pop_range();
-    if (device_.record_timeline()) {
+    if (pid_ != kNoTrace && device_.record_timeline()) {
       const double end = device_.clock_us();
       if (end > begin_us_)
         device_.timeline().record_span(pid_, tid_, name_, begin_us_, end);

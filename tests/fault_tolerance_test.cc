@@ -296,6 +296,23 @@ TEST(FaultToleranceTest, ElasticAverageRescalesToTheSurvivingReplicas) {
   EXPECT_EQ(a2.to_vector(), c2.to_vector());
 }
 
+TEST(FaultToleranceTest, TrainStepRejectsAShrinkWithNoSurvivors) {
+  // Every train_step validates its cluster, pp = 1 included: a shrink that
+  // lost every data-parallel replica must throw, not train at dp_size() 0.
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  World w(sc, small_gpt2(), optim::OptimConfig{});
+  data::LmDataset ds(small_gpt2().vocab, 4096, 47);
+  dist::ClusterConfig cluster = cluster_of(/*dp=*/4);
+  cluster.dp_lost = 4;
+  try {
+    (void)core::train_step(w.session, w.model, ds.batch(0, 4, 12), *w.trainer, cluster);
+    FAIL() << "a pp = 1 step with every replica lost should not run";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no survivors"), std::string::npos) << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Straggler detection
 // ---------------------------------------------------------------------------

@@ -139,6 +139,22 @@ TEST(ProcessGroup3dTest, InvalidShapesAreRejectedWithClearMessages) {
   t.pipeline_parallel = 2;
   EXPECT_THROW(t.validate(), Error);
 
+  // The 1F1B engine always overlaps the DP sync and pipelines the update.
+  for (const bool overlap : {false, true}) {
+    dist::ClusterConfig k = pp_cluster(2, 4, /*dp=*/2);
+    k.overlap = overlap;
+    k.pipeline_update = !overlap;
+    try {
+      k.validate();
+      FAIL() << "pp=2 with overlap=" << overlap << ", pipeline_update=" << !overlap
+             << " should not validate";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("always overlaps and pipelines"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
   EXPECT_NO_THROW(pp_cluster(4, 8, /*dp=*/2, /*tp=*/1).validate());
 }
 
@@ -482,26 +498,29 @@ TEST(HybridPpTest, FullThreeAxisCompositionIsBitwise) {
 // Graph capture / replay under PP
 // ---------------------------------------------------------------------------
 
+/// Arena from the capacity probe, with slack for the engine's 1F1B
+/// residency reservation (stage 0 keeps min(pp, m) microbatch activation
+/// sets live at its steady-state peak).
+size_t pp_graph_arena_bytes(const models::Gpt2Config& cfg, const models::LmBatch& batch) {
+  core::CapacityScanOptions opt;
+  opt.seed = 3;
+  opt.headroom = 1.0;
+  return 2 * core::capacity_scan(
+                 [&](BufferAllocator* alloc) {
+                   return std::make_unique<models::Gpt2>(cfg, System::kLightSeq2,
+                                                         DType::kF32, 67, alloc);
+                 },
+                 batch, opt) +
+         (1u << 20);
+}
+
 TEST(PpGraphTest, CaptureReplayBitwiseUnderPp) {
   const models::Gpt2Config cfg = small_gpt2_config();
   data::LmDataset ds(64, 4096, 61);
   const models::LmBatch batch = ds.batch(0, 4, 12);
   constexpr int kSteps = 6;
 
-  // Arena from the capacity probe, with slack for the engine's 1F1B
-  // residency reservation (stage 0 keeps min(pp, m) microbatch activation
-  // sets live at its steady-state peak).
-  core::CapacityScanOptions opt;
-  opt.seed = 3;
-  opt.headroom = 1.0;
-  const size_t arena =
-      2 * core::capacity_scan(
-              [&](BufferAllocator* alloc) {
-                return std::make_unique<models::Gpt2>(cfg, System::kLightSeq2,
-                                                      DType::kF32, 67, alloc);
-              },
-              batch, opt) +
-      (1u << 20);
+  const size_t arena = pp_graph_arena_bytes(cfg, batch);
 
   auto run = [&](bool graph) {
     SessionConfig sc;
@@ -531,6 +550,46 @@ TEST(PpGraphTest, CaptureReplayBitwiseUnderPp) {
   const auto eager = run(false);
   const auto replay = run(true);
   EXPECT_EQ(eager, replay);
+}
+
+// A pp > 1 step records the same train.* block as a pp = 1 step, plus the
+// train.pp.* series; graph replays and DP wire bytes are counted too.
+TEST(PpGraphTest, RegistryCountsEveryPpStepReplayAndWireByte) {
+  const models::Gpt2Config cfg = small_gpt2_config();
+  data::LmDataset ds(64, 4096, 61);
+  const models::LmBatch batch = ds.batch(0, 4, 12);
+  constexpr int kSteps = 5;
+  obs::MetricsRegistry reg;
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.dtype = DType::kF32;
+  sc.seed = 3;
+  sc.graph_capture = true;
+  sc.arena_bytes = pp_graph_arena_bytes(cfg, batch);
+  sc.metrics = &reg;
+  Session session(sc);
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 67, session.param_alloc());
+  optim::LightSeq2Trainer trainer(model.params(), optim::OptimConfig{});
+  int64_t replays = 0, wire_bytes = 0;
+  core::StepTimes last;
+  for (int i = 0; i < kSteps; ++i) {
+    last = core::train_step(session, model, batch, trainer, pp_cluster(2, 4, /*dp=*/2))
+               .first;
+    replays += last.replayed ? 1 : 0;
+    wire_bytes += last.wire_bytes;
+  }
+  EXPECT_FALSE(session.graph_poisoned()) << session.graph_poison_reason();
+  EXPECT_GT(replays, 0);
+  EXPECT_GT(wire_bytes, 0);
+  EXPECT_EQ(reg.counter("train.steps"), kSteps);
+  EXPECT_EQ(reg.counter("train.replayed_steps"), replays);
+  EXPECT_EQ(reg.counter("train.wire_bytes"), wire_bytes);
+  ASSERT_TRUE(reg.has_gauge("train.sync_overlapped_us"));
+  ASSERT_TRUE(reg.has_gauge("train.sync_blocking_us"));
+  EXPECT_EQ(reg.gauge("train.sync_overlapped_us"), last.sync_overlapped_us);
+  EXPECT_EQ(reg.gauge("train.sync_blocking_us"), last.sync_blocking_us);
+  EXPECT_EQ(reg.histograms().at("train.pp.bubble_us").count(), kSteps);
+  EXPECT_FALSE(reg.has_counter("train.pp.steps"));
 }
 
 // ---------------------------------------------------------------------------
@@ -575,7 +634,7 @@ TEST(PpMemoryTest, RemoteStageAllocatorIsEmptyAfterEveryStep) {
   for (int step = 0; step < 3; ++step) {
     for (size_t i = 0; i < batches.size(); ++i) {
       (void)core::train_step(session, model, batches[i], trainer, cluster);
-      auto state = std::static_pointer_cast<core::pp_detail::PpState>(session.pp_state);
+      const auto& state = session.pp_state;
       ASSERT_NE(state, nullptr);
       ASSERT_EQ(state->remote_alloc->bytes_in_use(), 0)
           << "pass " << step << ", batch " << i << " leaked remote-stage blocks";

@@ -177,6 +177,45 @@ TEST(TraceTest, TrainStepRecordsStepStageAndBucketSpans) {
   std::remove(path.c_str());
 }
 
+TEST(TraceTest, PipelineStepsRecordWellFormedRankLanes) {
+  // Under PP the rank lanes carry the reconstructed 1F1B chunks; device-
+  // clock stage spans must stay off them or B/E nesting breaks.
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.mode = simgpu::ExecMode::kModelOnly;
+  sc.dtype = DType::kF16;
+  sc.record_timeline = true;
+  Session s(sc);
+  models::TransformerConfig cfg = models::TransformerConfig::base(2, 2);
+  models::Transformer model(cfg, System::kLightSeq2, DType::kF16, 1);
+  optim::OptimConfig ocfg;
+  optim::LightSeq2Trainer trainer(model.params(), ocfg);
+  data::MtDataset ds(cfg.vocab, 64, 10, 40, 5);
+  auto batches = data::make_mt_batches(ds, 2048, DType::kF16);
+  models::MtBatch batch = batches[0];
+  const int64_t rows = batch.src_ids.shape()[0] / 2 * 2;  // m = 2 must divide
+  ASSERT_GT(rows, 0);
+  batch.src_ids = batch.src_ids.slice(0, rows);
+  batch.tgt_in = batch.tgt_in.slice(0, rows);
+  batch.tgt_out = batch.tgt_out.slice(0, rows);
+  batch.src_lens = batch.src_lens.slice(0, rows);
+  batch.tgt_lens = batch.tgt_lens.slice(0, rows);
+  dist::ClusterConfig cluster{2, 1};
+  cluster.pipeline_parallel = 2;
+  cluster.microbatches = 2;
+  for (int step = 0; step < 2; ++step) {
+    (void)core::train_step(s, model, batch, trainer, cluster);
+  }
+
+  const std::string path = "trace_test_pp.json";
+  s.device().timeline().write_chrome_trace(path);
+  const auto events = parse_trace(path);
+  check_well_formed(events);
+  EXPECT_TRUE(has_span(events, "s0.mb0.F"));
+  EXPECT_TRUE(has_span(events, "step")) << "the rank-0 lane wraps each 1F1B step";
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, FleetTraceMergesReplicasWellFormed) {
   models::Gpt2Config mcfg;
   mcfg.vocab = 64;
