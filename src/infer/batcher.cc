@@ -22,7 +22,15 @@ int32_t synth_token(int64_t slot, int64_t generated, int64_t vocab) {
 
 ContinuousBatcher::ContinuousBatcher(core::Session& session, models::Gpt2& model,
                                      KvCache& cache, ServeConfig cfg)
-    : session_(&session), model_(&model), cache_(&cache), cfg_(cfg), gen_(cfg.sampling) {}
+    : session_(&session),
+      model_(&model),
+      cache_(&cache),
+      cfg_(cfg),
+      gen_(cfg.sampling),
+      queue_depth_gauge_(cfg_.metrics_prefix + ".queue_depth"),
+      resident_gauge_(cfg_.metrics_prefix + ".resident"),
+      page_occupancy_gauge_(cfg_.metrics_prefix + ".kv.page_occupancy"),
+      share_ratio_gauge_(cfg_.metrics_prefix + ".kv.share_ratio") {}
 
 int32_t ContinuousBatcher::harvest_token(const Tensor& sampled, int64_t row, int64_t slot,
                                          int64_t generated) const {
@@ -373,14 +381,12 @@ bool ContinuousBatcher::step() {
     // engine step, while the workload is in flight.
     slo_->refresh(session_->device().clock_us());
     obs::MetricsRegistry* m = session_->metrics();
-    m->gauge(cfg_.metrics_prefix + ".queue_depth") =
-        static_cast<double>(queue_depth());
-    m->gauge(cfg_.metrics_prefix + ".resident") = static_cast<double>(resident());
+    m->gauge(queue_depth_gauge_) = static_cast<double>(queue_depth());
+    m->gauge(resident_gauge_) = static_cast<double>(resident());
     const KvCache::Stats& ks = cache_->stats();
-    m->gauge(cfg_.metrics_prefix + ".kv.page_occupancy") =
-        static_cast<double>(cache_->used_pages()) /
-        static_cast<double>(cache_->config().pool_pages());
-    m->gauge(cfg_.metrics_prefix + ".kv.share_ratio") =
+    m->gauge(page_occupancy_gauge_) = static_cast<double>(cache_->used_pages()) /
+                                      static_cast<double>(cache_->config().pool_pages());
+    m->gauge(share_ratio_gauge_) =
         static_cast<double>(ks.shared_page_hits) /
         static_cast<double>(std::max<int64_t>(1, ks.shared_page_hits + ks.pages_allocated));
   }

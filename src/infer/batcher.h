@@ -284,6 +284,9 @@ class ContinuousBatcher {
   /// Live SLO telemetry (DESIGN.md §12); engaged by begin() iff the session
   /// carries a MetricsRegistry. Gauges refresh every step(), not at finish.
   std::optional<obs::SloMonitor> slo_;
+  /// Registry names of the per-step gauges, built once from the prefix.
+  std::string queue_depth_gauge_, resident_gauge_, page_occupancy_gauge_,
+      share_ratio_gauge_;
 };
 
 /// Poisson arrivals for benches/tests: `n` requests at `rate_per_sec`, with

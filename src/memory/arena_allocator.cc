@@ -1,5 +1,7 @@
 #include "memory/arena_allocator.h"
 
+#include <algorithm>
+
 #include "simgpu/fault.h"
 
 namespace ls2::mem {
@@ -12,7 +14,7 @@ size_t align_up(size_t n) { return (n + kAlign - 1) / kAlign * kAlign; }
 ArenaAllocator::ArenaAllocator(simgpu::Device& device, size_t capacity_bytes, Backing backing)
     : DeviceAllocator(device, backing), capacity_(align_up(capacity_bytes)) {
   base_ = static_cast<char*>(device_malloc(capacity_));
-  free_blocks_[0] = capacity_;
+  free_blocks_.emplace_back(0, capacity_);
   // The whole arena counts as "in use" for the lifetime of training — that
   // is the deliberate trade of §IV-D and what Fig. 20 plots for LightSeq2.
   note_usage(static_cast<int64_t>(capacity_));
@@ -35,15 +37,18 @@ void* ArenaAllocator::allocate(size_t bytes) {
                                 static_cast<int64_t>(capacity_),
                                 device_.current_range());
   }
-  // First fit. The free map is keyed by offset, so this also prefers low
+  // First fit. The free list is sorted by offset, so this also prefers low
   // addresses, which keeps fragmentation down for the LIFO-ish lifetimes of
   // a training step.
   for (auto it = free_blocks_.begin(); it != free_blocks_.end(); ++it) {
     if (it->second < want) continue;
     const size_t offset = it->first;
-    const size_t remaining = it->second - want;
-    free_blocks_.erase(it);
-    if (remaining > 0) free_blocks_[offset + want] = remaining;
+    if (it->second == want) {
+      free_blocks_.erase(it);
+    } else {
+      it->first += want;  // the remainder keeps its place in the order
+      it->second -= want;
+    }
     used_ += want;
     if (used_ > high_water_) high_water_ = used_;
     ++outstanding_;
@@ -60,27 +65,29 @@ void ArenaAllocator::deallocate(void* ptr, size_t bytes) {
   used_ -= want;
   --outstanding_;
   // Insert and coalesce with neighbours.
-  auto [it, inserted] = free_blocks_.emplace(offset, want);
-  LS2_CHECK(inserted) << "double free in arena";
-  if (it != free_blocks_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second == offset) {
-      prev->second += it->second;
-      free_blocks_.erase(it);
-      it = prev;
-    }
-  }
-  auto next = std::next(it);
-  if (next != free_blocks_.end() && it->first + it->second == next->first) {
-    it->second += next->second;
-    free_blocks_.erase(next);
+  auto it = std::lower_bound(
+      free_blocks_.begin(), free_blocks_.end(), offset,
+      [](const std::pair<size_t, size_t>& b, size_t off) { return b.first < off; });
+  LS2_CHECK(it == free_blocks_.end() || it->first != offset) << "double free in arena";
+  const bool joins_prev =
+      it != free_blocks_.begin() && std::prev(it)->first + std::prev(it)->second == offset;
+  const bool joins_next = it != free_blocks_.end() && offset + want == it->first;
+  if (joins_prev && joins_next) {
+    std::prev(it)->second += want + it->second;
+    free_blocks_.erase(it);
+  } else if (joins_prev) {
+    std::prev(it)->second += want;
+  } else if (joins_next) {
+    it->first = offset;
+    it->second += want;
+  } else {
+    free_blocks_.insert(it, {offset, want});
   }
 }
 
 void ArenaAllocator::reset() {
   LS2_CHECK_EQ(outstanding_, 0) << "arena reset with live tensors";
-  free_blocks_.clear();
-  free_blocks_[0] = capacity_;
+  free_blocks_.assign(1, {0, capacity_});
   used_ = 0;
 }
 

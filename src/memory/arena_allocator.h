@@ -8,7 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "memory/device_allocator.h"
 
@@ -40,7 +41,10 @@ class ArenaAllocator final : public DeviceAllocator {
  private:
   char* base_ = nullptr;
   size_t capacity_ = 0;
-  std::map<size_t, size_t> free_blocks_;  // offset -> size, coalesced
+  /// Coalesced free blocks as (offset, size), sorted by offset. A step's
+  /// free list holds a handful of blocks, so a flat vector beats a tree and
+  /// allocates nothing once its capacity has grown.
+  std::vector<std::pair<size_t, size_t>> free_blocks_;
   size_t used_ = 0;
   size_t high_water_ = 0;
   int64_t outstanding_ = 0;

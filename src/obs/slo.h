@@ -10,7 +10,10 @@
 // served/shed/token tallies. Events are O(1): locate the slice, record.
 // refresh() — called by the batcher once per decode round and by the fleet
 // per completion scan — merges the live slices and publishes the rolling
-// gauges into the owning MetricsRegistry under the monitor's prefix:
+// gauges into the owning MetricsRegistry under the monitor's prefix. The
+// merge is cached: it is redone only when an event arrived or the window
+// moved to a new slice since the last refresh, so a refresh with nothing
+// new costs O(1) plus the gauge stores:
 //
 //   <prefix>.slo.p50_us / .p99_us      rolling latency quantiles
 //   <prefix>.slo.tokens_per_s          decode throughput over the window
@@ -74,6 +77,8 @@ class SloMonitor {
   };
 
   Slice& slice_at(double now_us);
+  /// Merge the slices live at slice `now_index` into the window state.
+  void merge_window(int64_t now_index);
 
   MetricsRegistry* reg_;
   std::string prefix_;
@@ -81,6 +86,18 @@ class SloMonitor {
   double slice_us_;
   std::vector<Slice> ring_;
   double origin_us_ = -1;  ///< first event time, for early-window throughput
+
+  // Registry names, built once.
+  std::string served_total_, tokens_total_, shed_total_, latency_;
+  std::string p50_gauge_, p99_gauge_, tokens_per_s_gauge_, availability_gauge_,
+      shed_rate_gauge_;
+
+  // The merged window, valid for slice `merged_index_` until an event
+  // arrives (`dirty_`).
+  Histogram merged_;
+  int64_t merged_index_ = -1;
+  bool dirty_ = true;
+  int64_t window_tokens_ = 0;
 
   double p50_us_ = 0, p99_us_ = 0, tokens_per_s_ = 0;
   double availability_ = 1.0, shed_rate_ = 0;

@@ -32,7 +32,7 @@ void Device::pop_charge_scale() {
   charge_scale_stack_.pop_back();
 }
 
-void Device::launch(const KernelDesc& launch_desc, const std::function<void()>& body) {
+void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
   KernelDesc scaled;
   const KernelDesc& desc = [&]() -> const KernelDesc& {
     if (charge_scale_ == 1.0) return launch_desc;
@@ -226,7 +226,7 @@ void Device::at_sync_point(const std::string& attribution) {
 
 const std::string& Device::current_range() const {
   static const std::string kNoRange;
-  return range_stack_.empty() ? kNoRange : range_stack_.back();
+  return range_stack_.empty() ? kNoRange : range_stack_.back().name;
 }
 
 void Device::charge_alloc(bool cache_hit) {
@@ -373,11 +373,12 @@ void Device::reset() {
   stats_ = DeviceStats{};
   per_kernel_.clear();
   range_times_.clear();
+  for (RangeFrame& f : range_stack_) f.slot = nullptr;
   timeline_.clear();
   abort_graph();
 }
 
-void Device::push_range(const std::string& name) { range_stack_.push_back(name); }
+void Device::push_range(const std::string& name) { range_stack_.push_back({name}); }
 
 void Device::pop_range() {
   LS2_CHECK(!range_stack_.empty()) << "pop_range with empty stack";
@@ -385,7 +386,10 @@ void Device::pop_range() {
 }
 
 void Device::attribute(double us) {
-  if (!range_stack_.empty()) range_times_[range_stack_.back()] += us;
+  if (range_stack_.empty()) return;
+  RangeFrame& f = range_stack_.back();
+  if (f.slot == nullptr) f.slot = &range_times_[f.name];
+  *f.slot += us;
 }
 
 }  // namespace ls2::simgpu

@@ -13,10 +13,13 @@
 // per-stage breakdowns (Fig. 3) and layer-wise timings (Fig. 19) fall out.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -113,9 +116,49 @@ struct StepGraph {
   std::string poison_reason;    ///< why capture failed (first offense)
 };
 
+/// Non-owning reference to a kernel body: a pointer to the caller's
+/// callable plus a trampoline that invokes it. A launch therefore never
+/// heap-allocates a closure (in kModelOnly the body is not even run). Built
+/// from a lambda or other callable, or empty from nullptr, {} or an empty
+/// std::function. Like any function reference it must not outlive the
+/// callable it names; Device::launch calls it before returning, so passing
+/// a temporary lambda is safe. The constructors are implicit so a call
+/// site passes its lambda or std::function directly.
+class KernelBody {
+ public:
+  KernelBody() = default;
+  KernelBody(std::nullptr_t) {}
+  KernelBody(const std::function<void()>& f)
+      : obj_(f ? &f : nullptr), call_(&invoke<const std::function<void()>>) {}
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, KernelBody> &&
+             !std::is_same_v<std::remove_cvref_t<F>, std::function<void()>> &&
+             std::is_invocable_r_v<void, F&>)
+  KernelBody(F&& f)
+      : obj_(std::addressof(f)), call_(&invoke<std::remove_reference_t<F>>) {}
+
+  explicit operator bool() const { return obj_ != nullptr; }
+  void operator()() const { call_(obj_); }
+
+ private:
+  template <typename F>
+  static void invoke(const void* obj) {
+    (*static_cast<F*>(const_cast<void*>(obj)))();
+  }
+
+  const void* obj_ = nullptr;
+  void (*call_)(const void*) = nullptr;
+};
+
 class Device {
  public:
   explicit Device(DeviceProfile profile, ExecMode mode = ExecMode::kExecute);
+  // Not copyable: the range stack caches pointers into range_times_ (a
+  // move keeps them valid, a copy would not).
+  Device(const Device&) = delete;
+  Device& operator=(const Device&) = delete;
+  Device(Device&&) = default;
+  Device& operator=(Device&&) = default;
 
   const DeviceProfile& profile() const { return profile_; }
   ExecMode mode() const { return mode_; }
@@ -123,7 +166,7 @@ class Device {
 
   /// Launch one kernel: advances the clock by the modeled duration and (in
   /// execute mode) runs `body`.
-  void launch(const KernelDesc& desc, const std::function<void()>& body);
+  void launch(const KernelDesc& desc, KernelBody body);
 
   /// Modeled duration of a kernel without launching it.
   double kernel_time_us(const KernelDesc& desc) const;
@@ -278,7 +321,14 @@ class Device {
   DeviceStats stats_;
   std::map<std::string, KernelStats> per_kernel_;
   std::map<std::string, double> range_times_;
-  std::vector<std::string> range_stack_;
+  /// One active ScopedRange. `slot` caches the range's range_times_ entry
+  /// from the first time charged to it (map nodes are stable), so a launch
+  /// attributes its time without a lookup; reset() clears the slots.
+  struct RangeFrame {
+    std::string name;
+    double* slot = nullptr;
+  };
+  std::vector<RangeFrame> range_stack_;
   Timeline timeline_;
   bool record_timeline_ = false;
   FaultInjector* fault_ = nullptr;  ///< not owned; null = fault-free

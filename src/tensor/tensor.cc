@@ -126,12 +126,10 @@ Tensor Tensor::slice(int64_t begin, int64_t end) const {
   LS2_CHECK_GE(shape_.rank(), 1);
   LS2_CHECK(begin >= 0 && begin <= end && end <= shape_.dim(0))
       << "slice [" << begin << "," << end << ") of " << shape_.str();
-  std::vector<int64_t> dims = shape_.dims();
   int64_t row_elems = 1;
-  for (size_t i = 1; i < dims.size(); ++i) row_elems *= dims[i];
-  dims[0] = end - begin;
+  for (int i = 1; i < shape_.rank(); ++i) row_elems *= shape_[i];
   Tensor t = *this;
-  t.shape_ = Shape(dims);
+  t.shape_.set_dim(0, end - begin);
   t.byte_offset_ = byte_offset_ + static_cast<size_t>(begin * row_elems) * dtype_size(dtype_);
   return t;
 }

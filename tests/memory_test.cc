@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <optional>
+#include <random>
+#include <vector>
+
 #include "memory/arena_allocator.h"
 #include "memory/caching_allocator.h"
 #include "memory/workspace.h"
@@ -159,6 +165,127 @@ TEST_F(ArenaAllocatorTest, HighWaterTracksTightness) {
   arena.deallocate(b, 3000);
   EXPECT_GE(arena.high_water(), 3000u);
   EXPECT_LT(arena.high_water(), 4096u);
+}
+
+/// Reference first-fit placement over an offset-keyed std::map: what the
+/// arena's flat free list must reproduce offset for offset.
+class ReferenceArena {
+ public:
+  explicit ReferenceArena(size_t capacity) { free_[0] = capacity; }
+
+  std::optional<size_t> allocate(size_t want) {
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->second < want) continue;
+      const size_t offset = it->first, remaining = it->second - want;
+      free_.erase(it);
+      if (remaining > 0) free_[offset + want] = remaining;
+      used_ += want;
+      high_water_ = std::max(high_water_, used_);
+      return offset;
+    }
+    return std::nullopt;
+  }
+
+  void deallocate(size_t offset, size_t want) {
+    used_ -= want;
+    auto it = free_.emplace(offset, want).first;
+    if (it != free_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + prev->second == offset) {
+        prev->second += it->second;
+        free_.erase(it);
+        it = prev;
+      }
+    }
+    auto next = std::next(it);
+    if (next != free_.end() && it->first + it->second == next->first) {
+      it->second += next->second;
+      free_.erase(next);
+    }
+  }
+
+  size_t high_water() const { return high_water_; }
+  size_t free_blocks() const { return free_.size(); }
+
+ private:
+  std::map<size_t, size_t> free_;
+  size_t used_ = 0;
+  size_t high_water_ = 0;
+};
+
+TEST_F(ArenaAllocatorTest, RandomSequencesMatchTheReferenceFirstFit) {
+  constexpr size_t kCapacity = 1 << 20, kAlign = 256;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937_64 rng(seed);
+    ArenaAllocator arena(dev, kCapacity);
+    ReferenceArena ref(kCapacity);
+    char* const base = static_cast<char*>(arena.allocate(1));
+    arena.deallocate(base, 1);
+    ASSERT_EQ(ref.allocate(kAlign), 0u);
+    ref.deallocate(0, kAlign);
+
+    struct Live {
+      void* ptr;
+      size_t bytes;
+    };
+    std::vector<Live> live;
+    int ooms = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const bool alloc = live.empty() || rng() % 100 < 55;
+      if (alloc) {
+        // Mostly small, sometimes exact multiples of the alignment (the
+        // exact-fit path), now and then large enough to run out.
+        size_t bytes = 1 + rng() % 8192;
+        if (rng() % 4 == 0) bytes = kAlign * (1 + rng() % 64);
+        if (rng() % 50 == 0) bytes = 1 + rng() % (kCapacity / 2);
+        const size_t want = (bytes + kAlign - 1) / kAlign * kAlign;
+        const std::optional<size_t> expect = ref.allocate(want);
+        if (!expect) {
+          EXPECT_THROW(arena.allocate(bytes), OutOfMemory) << "seed " << seed << " op " << op;
+          ++ooms;
+          continue;
+        }
+        void* p = arena.allocate(bytes);
+        ASSERT_EQ(static_cast<size_t>(static_cast<char*>(p) - base), *expect)
+            << "seed " << seed << " op " << op;
+        live.push_back({p, bytes});
+      } else {
+        const size_t i = rng() % live.size();
+        const Live l = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        arena.deallocate(l.ptr, l.bytes);
+        ref.deallocate(static_cast<size_t>(static_cast<char*>(l.ptr) - base),
+                       (l.bytes + kAlign - 1) / kAlign * kAlign);
+      }
+      ASSERT_EQ(arena.high_water(), ref.high_water()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(arena.outstanding(), static_cast<int64_t>(live.size()));
+    }
+    EXPECT_GT(ooms, 0) << "seed " << seed << " never exercised exhaustion";
+    for (const Live& l : live) {
+      arena.deallocate(l.ptr, l.bytes);
+      ref.deallocate(static_cast<size_t>(static_cast<char*>(l.ptr) - base),
+                     (l.bytes + kAlign - 1) / kAlign * kAlign);
+    }
+    // Fully coalesced before reset(): one free block spanning the arena, so
+    // the whole capacity is placeable at offset 0.
+    EXPECT_EQ(ref.free_blocks(), 1u);
+    void* all = arena.allocate(kCapacity);
+    EXPECT_EQ(all, base) << "seed " << seed;
+    arena.deallocate(all, kCapacity);
+    EXPECT_NO_THROW(arena.reset());
+  }
+}
+
+TEST_F(ArenaAllocatorTest, DoubleFreeAndForeignPointerThrow) {
+  ArenaAllocator arena(dev, 4096);
+  void* a = arena.allocate(256);
+  void* b = arena.allocate(256);
+  EXPECT_THROW(arena.deallocate(static_cast<char*>(a) + 4096, 256), Error)
+      << "pointer past the arena";
+  arena.deallocate(a, 256);  // b stays live, so a's block cannot coalesce away
+  EXPECT_THROW(arena.deallocate(a, 256), Error) << "double free";
+  (void)b;
 }
 
 TEST(WorkspaceTest, LinksAreViewsIntoOneBuffer) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -259,6 +260,116 @@ TEST(SloTest, RollingWindowGaugesAndAging) {
   EXPECT_EQ(mon.window_shed(), 0);
   EXPECT_DOUBLE_EQ(mon.availability(), 1.0) << "empty window defaults to available";
   EXPECT_EQ(reg.counter("serve.served_total"), 10);
+}
+
+// The refresh re-merges only when an event arrived or the window moved a
+// slice; every published number must still equal a from-scratch recompute
+// over the raw events, including refreshes where slices only age out and
+// refreshes right after the registry was cleared.
+TEST(SloTest, CachedRefreshMatchesBruteForceRecompute) {
+  SloConfig cfg;
+  cfg.window_us = 800.0;
+  cfg.slices = 4;
+  const double slice_us = cfg.window_us / cfg.slices;
+
+  struct Event {
+    double t;
+    bool served;
+    double latency;
+    int64_t tokens;
+  };
+  struct Expected {
+    double p50 = 0, p99 = 0, tokens_per_s = 0, availability = 1.0;
+    int64_t served = 0, shed = 0;
+  };
+  // Window state at `now` over all events so far (times never decrease, so
+  // no slot is recycled while its slice is still in the window).
+  auto brute = [&](const std::vector<Event>& ev, double now) {
+    const int64_t now_index = static_cast<int64_t>(std::max(0.0, now) / slice_us);
+    Histogram h(cfg.hist);
+    Expected e;
+    int64_t tokens = 0;
+    for (size_t i = 0; i < ev.size(); ++i) {
+      const int64_t idx = static_cast<int64_t>(std::max(0.0, ev[i].t) / slice_us);
+      if (idx <= now_index - cfg.slices || idx > now_index) continue;
+      if (ev[i].served) {
+        h.record(ev[i].latency);
+        ++e.served;
+        tokens += ev[i].tokens;
+      } else {
+        ++e.shed;
+      }
+    }
+    e.p50 = h.quantile(0.50);
+    e.p99 = h.quantile(0.99);
+    if (e.served + e.shed > 0)
+      e.availability = static_cast<double>(e.served) / static_cast<double>(e.served + e.shed);
+    double span = cfg.window_us;
+    if (!ev.empty()) span = std::min(span, std::max(now - ev[0].t, slice_us));
+    e.tokens_per_s = static_cast<double>(tokens) / (span / 1e6);
+    return e;
+  };
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    MetricsRegistry reg;
+    SloMonitor mon(&reg, "serve", cfg);
+    std::vector<Event> events;
+    Expected at_refresh;  // what the monitor published last
+    double clock = 0;
+    auto check = [&](const Expected& e, const char* what, int op) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op << " " << what);
+      EXPECT_EQ(mon.p50_us(), e.p50);
+      EXPECT_EQ(mon.p99_us(), e.p99);
+      EXPECT_EQ(mon.tokens_per_s(), e.tokens_per_s);
+      EXPECT_EQ(mon.availability(), e.availability);
+      EXPECT_EQ(mon.shed_rate(), 1.0 - e.availability);
+      EXPECT_EQ(mon.window_served(), e.served);
+      EXPECT_EQ(mon.window_shed(), e.shed);
+    };
+    size_t events_at_refresh = 0;
+    int refreshes_without_events = 0, aging_without_events = 0;
+    for (int op = 0; op < 600; ++op) {
+      const uint64_t r = rng() % 100;
+      if (r < 45) {
+        clock += static_cast<double>(rng() % 120);
+        const Event ev{clock, rng() % 8 != 0, 50.0 + static_cast<double>(rng() % 5000),
+                       static_cast<int64_t>(rng() % 64)};
+        events.push_back(ev);
+        if (ev.served) {
+          mon.on_served(ev.t, ev.latency, ev.tokens);
+        } else {
+          mon.on_shed(ev.t);
+        }
+        check(at_refresh, "event", op);  // events publish nothing until refresh
+        continue;
+      }
+      // Refresh, sometimes with no new event since the last one, sometimes
+      // far enough on that slices age out of the window, sometimes after
+      // the registry was wiped.
+      const bool no_events = events.size() == events_at_refresh;
+      const double before = clock;
+      if (r < 70) clock += static_cast<double>(rng() % 60);
+      else if (r < 90) clock += slice_us * static_cast<double>(1 + rng() % 3);
+      else clock += cfg.window_us * static_cast<double>(1 + rng() % 2);
+      const bool ages = static_cast<int64_t>(clock / slice_us) !=
+                        static_cast<int64_t>(before / slice_us);
+      refreshes_without_events += no_events ? 1 : 0;
+      aging_without_events += no_events && ages ? 1 : 0;
+      if (rng() % 10 == 0) reg.clear();
+      mon.refresh(clock);
+      at_refresh = brute(events, clock);
+      events_at_refresh = events.size();
+      check(at_refresh, "refresh", op);
+      EXPECT_EQ(reg.gauge("serve.slo.p50_us"), mon.p50_us());
+      EXPECT_EQ(reg.gauge("serve.slo.p99_us"), mon.p99_us());
+      EXPECT_EQ(reg.gauge("serve.slo.tokens_per_s"), mon.tokens_per_s());
+      EXPECT_EQ(reg.gauge("serve.slo.availability"), mon.availability());
+      EXPECT_EQ(reg.gauge("serve.slo.shed_rate"), mon.shed_rate());
+    }
+    EXPECT_GT(refreshes_without_events, 50) << "seed " << seed;
+    EXPECT_GT(aging_without_events, 20) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
 
 #include "common/check.h"
@@ -96,6 +97,20 @@ TEST(DeviceTest, RangesAttributeTime) {
   EXPECT_NEAR(dev.range_time_us("attn"), 5.5, 1e-9);
   EXPECT_NEAR(dev.range_time_us("backward"), 5.5, 1e-9);
   EXPECT_EQ(dev.range_time_us("update"), 0.0);
+}
+
+TEST(DeviceTest, ResetInsideARangeKeepsAttributing) {
+  // The open range caches its range_times_ slot; reset() clears the map, so
+  // the slot must be dropped too and the next launch re-creates the entry.
+  Device dev(v100(), ExecMode::kModelOnly);
+  ScopedRange fw(dev, "forward");
+  dev.launch(bytes_kernel(720 * 1000), nullptr);
+  dev.reset();
+  EXPECT_EQ(dev.range_time_us("forward"), 0.0);
+  dev.launch(bytes_kernel(720 * 1000), nullptr);
+  dev.launch(bytes_kernel(720 * 1000), nullptr);
+  EXPECT_NEAR(dev.range_time_us("forward"), 2 * 5.5, 1e-9);
+  EXPECT_EQ(dev.range_times().size(), 1u);
 }
 
 TEST(DeviceTest, UtilizationCountsOverheadAsIdle) {
@@ -335,6 +350,50 @@ TEST(StepGraphTest, CommStatsConsistentUnderReplay) {
   EXPECT_NEAR(wait_replay, 20.0, 1e-9);
   EXPECT_EQ(exp_eager, wait_eager);
   EXPECT_EQ(exp_replay, wait_replay);
+}
+
+// Every form a kernel body takes at the call sites runs exactly once per
+// launch in kExecute — eager, while capturing, and under replay — and
+// never in kModelOnly; the empty forms never run.
+TEST(KernelBodyTest, EveryBodyFormRunsOncePerLaunchOnlyInExecute) {
+  EXPECT_FALSE(KernelBody(nullptr));
+  EXPECT_FALSE(KernelBody{});
+  EXPECT_FALSE(KernelBody(std::function<void()>()));
+  EXPECT_TRUE(KernelBody([] {}));
+
+  for (ExecMode mode : {ExecMode::kExecute, ExecMode::kModelOnly}) {
+    Device dev(v100(), mode);
+    int fn_runs = 0, lambda_runs = 0;
+    const std::function<void()> counted = [&] { ++fn_runs; };
+    const int per_phase = mode == ExecMode::kExecute ? 1 : 0;
+    auto launch_all = [&] {
+      dev.launch(bytes_kernel(100), nullptr);
+      dev.launch(bytes_kernel(100), {});
+      dev.launch(bytes_kernel(100), std::function<void()>());
+      dev.launch(bytes_kernel(100), counted);
+      dev.launch(bytes_kernel(100), [&] { ++lambda_runs; });
+    };
+
+    launch_all();  // eager
+    EXPECT_EQ(fn_runs, per_phase);
+    EXPECT_EQ(lambda_runs, per_phase);
+
+    dev.begin_capture();
+    launch_all();
+    StepGraph graph = dev.end_capture();
+    ASSERT_TRUE(graph.valid);
+    EXPECT_EQ(graph.kernel_launches, 5);
+    EXPECT_EQ(fn_runs, 2 * per_phase);
+    EXPECT_EQ(lambda_runs, 2 * per_phase);
+
+    dev.begin_replay(graph);
+    launch_all();
+    dev.end_replay();
+    EXPECT_EQ(fn_runs, 3 * per_phase);
+    EXPECT_EQ(lambda_runs, 3 * per_phase);
+    EXPECT_EQ(dev.stats().launches, 15);
+    EXPECT_EQ(dev.stats().replayed_launches, 5);
+  }
 }
 
 TEST(StepGraphTest, ResetAbortsGraphPhase) {

@@ -4,9 +4,13 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "layers/params.h"
+#include "models/checkpoint.h"
 
 namespace ls2 {
 namespace {
@@ -30,6 +34,89 @@ TEST(ShapeTest, OutOfRangeThrows) {
   Shape s{2, 3};
   EXPECT_THROW(s.dim(2), Error);
   EXPECT_THROW(s.dim(-3), Error);
+}
+
+TEST(ShapeTest, InlineCapacityIsChecked) {
+  const Shape full{1, 2, 3, 4};
+  EXPECT_EQ(full.rank(), Shape::kMaxRank);
+  EXPECT_EQ(full.numel(), 24);
+  EXPECT_THROW((Shape{1, 2, 3, 4, 5}), Error);
+  EXPECT_THROW(Shape(std::vector<int64_t>(Shape::kMaxRank + 1, 1)), Error);
+  try {
+    (void)Shape{1, 2, 3, 4, 5};
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 5 exceeds the inline Shape capacity 4"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShapeTest, EqualityComparesRankAndDims) {
+  EXPECT_EQ((Shape{2, 3}), Shape(std::vector<int64_t>{2, 3}));
+  EXPECT_NE((Shape{2, 3}), (Shape{2, 3, 1}));
+  EXPECT_NE((Shape{2, 3, 1}), (Shape{2, 3}));
+  EXPECT_NE((Shape{6}), (Shape{1, 6}));
+  EXPECT_NE(Shape{}, (Shape{1}));
+  EXPECT_EQ(Shape{}, Shape(std::vector<int64_t>{}));
+  // Unused inline slots never take part: a shape shrunk by a slice equals
+  // one built at that size.
+  Shape s{4, 3};
+  s.set_dim(0, 2);
+  EXPECT_EQ(s, (Shape{2, 3}));
+}
+
+TEST(ShapeTest, RankZeroIsOneElement) {
+  const Shape scalar;
+  EXPECT_EQ(scalar.rank(), 0);
+  EXPECT_EQ(scalar.numel(), 1);
+  EXPECT_TRUE(scalar.dims().empty());
+  EXPECT_EQ(scalar.str(), "[]");
+  EXPECT_THROW(scalar.flatten_2d(), Error);
+}
+
+TEST(ShapeTest, NegativeDimensionMessage) {
+  try {
+    (void)Shape{2, -1};
+    FAIL() << "negative dimension accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(": (d) >= (0) — (-1 vs 0) negative dimension in [2,-1]"),
+              std::string::npos)
+        << what;
+  }
+  Shape s{2, 3};
+  EXPECT_THROW(s.set_dim(1, -4), Error);
+  EXPECT_THROW(s.set_dim(2, 1), Error);
+}
+
+TEST(ShapeTest, CheckpointRoundTripKeepsEveryRank) {
+  const std::string path = "/tmp/ls2_shape_ckpt_test.bin";
+  const std::vector<Shape> shapes = {Shape{5}, Shape{3, 4}, Shape{2, 3, 4},
+                                     Shape{2, 1, 3, 2}};
+  auto registry = [&](layers::Init init) {
+    layers::ParamRegistry r;
+    for (size_t i = 0; i < shapes.size(); ++i)
+      r.declare("p" + std::to_string(i), shapes[i], init);
+    r.materialize(DType::kF32, /*contiguous=*/true, Rng(3));
+    return r;
+  };
+  layers::ParamRegistry a = registry(layers::Init::kNormal);
+  models::save_checkpoint(a, path);
+  layers::ParamRegistry b = registry(layers::Init::kZero);
+  models::load_checkpoint(b, path);
+  for (int i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(b.shape({i}), shapes[static_cast<size_t>(i)]);
+    EXPECT_EQ(a.value({i}).to_vector(), b.value({i}).to_vector()) << a.name({i});
+  }
+  // Same element count, different rank: the load must refuse it.
+  layers::ParamRegistry c;
+  c.declare("p0", Shape{5}, layers::Init::kZero);
+  c.declare("p1", Shape{12}, layers::Init::kZero);
+  c.declare("p2", Shape{2, 3, 4}, layers::Init::kZero);
+  c.declare("p3", Shape{2, 1, 3, 2}, layers::Init::kZero);
+  c.materialize(DType::kF32, true, Rng(3));
+  EXPECT_THROW(models::load_checkpoint(c, path), Error);
+  std::remove(path.c_str());
 }
 
 TEST(TensorTest, EmptyZerosFill) {
@@ -64,6 +151,13 @@ TEST(TensorTest, SliceIsView) {
   EXPECT_EQ(s.data<float>()[0], 3.0f);
   s.data<float>()[0] = -1.0f;
   EXPECT_EQ(t.data<float>()[3], -1.0f);
+  // Higher rank: only dim 0 changes, the row stride covers the rest.
+  Tensor u = Tensor::zeros(Shape{3, 2, 2}, DType::kF32);
+  Tensor v = u.slice(2, 3);
+  EXPECT_EQ(v.shape(), (Shape{1, 2, 2}));
+  EXPECT_EQ(v.data<float>(), u.data<float>() + 8);
+  EXPECT_EQ(u.slice(1, 1).numel(), 0);
+  EXPECT_THROW(u.slice(2, 4), Error);
 }
 
 TEST(TensorTest, FromPtrAliases) {
