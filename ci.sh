@@ -35,10 +35,15 @@
 #                      binary (checkpoint/rollback/elastic/degraded-serving
 #                      claims), and (release only) fig_fault with its
 #                      schema check.
-#   --smoke fleet      Serving-fleet smoke lane: the fleet test binary
-#                      (router policies, hedged retries, token-exact
-#                      re-dispatch, rolling reload), and (release only)
-#                      fig_fleet with its schema check.
+#   --smoke fleet      Serving-fleet smoke lane: the suites the replayed
+#                      decode step must hold (router policies, hedged
+#                      retries, token-exact re-dispatch, rolling reload,
+#                      walked-vs-host-driven replay parity under faults;
+#                      heap allocations per replayed step and per eager
+#                      launch; graph replay discipline), and (release only)
+#                      fig_fleet with its schema check plus the perfbench
+#                      self-test on gpt2_serve_fleet (builds perfbench;
+#                      same-seed determinism of the walked decode path).
 #   --smoke obs        Observability smoke lane: the telemetry test binaries
 #                      (metrics/roofline/SLO/golden-snapshot, Chrome-trace
 #                      well-formedness), and (release only) fig_obs with its
@@ -108,7 +113,8 @@ elif [ "$SMOKE" = pp ]; then
 elif [ "$SMOKE" = fault ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R fault_tolerance_test
 elif [ "$SMOKE" = fleet ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R fleet_test
+  ctest --output-on-failure --timeout 300 --no-tests=error \
+    -R 'fleet_test|alloc_count_test|graph_replay_test'
 elif [ "$SMOKE" = obs ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R 'obs_test|trace_test'
 elif [ "$SMOKE" = paged ]; then
@@ -147,6 +153,8 @@ elif [ "$SMOKE" = fleet ]; then
   echo "ci.sh: smoke-running ./fig_fleet"
   ./fig_fleet >/dev/null
   python3 ../ci/check_bench_json.py fig_fleet
+  echo "ci.sh: perfbench self-test on gpt2_serve_fleet"
+  (cd .. && python3 perfbench/run.py --selftest --workload gpt2_serve_fleet)
 elif [ "$SMOKE" = obs ]; then
   echo "ci.sh: smoke-running ./fig_obs"
   ./fig_obs >/dev/null

@@ -1,6 +1,7 @@
 #include "dist/failure.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -21,9 +22,11 @@ HeartbeatConfig HeartbeatConfig::from_millis(int ranks, double interval_ms,
   return hc;
 }
 
-HeartbeatMonitor::HeartbeatMonitor(HeartbeatConfig cfg) : cfg_(cfg) {
+HeartbeatMonitor::HeartbeatMonitor(HeartbeatConfig cfg) : cfg_(std::move(cfg)) {
   LS2_CHECK(cfg_.ranks >= 1) << "heartbeat monitor needs at least one rank";
   LS2_CHECK(cfg_.timeout.count() > 0 && cfg_.interval.count() > 0);
+  last_beat_.assign(static_cast<size_t>(cfg_.ranks), now());
+  suspected_.assign(static_cast<size_t>(cfg_.ranks), false);
 }
 
 HeartbeatMonitor::~HeartbeatMonitor() { stop(); }
@@ -32,8 +35,7 @@ void HeartbeatMonitor::start() {
   std::unique_lock<std::mutex> lock(mu_);
   LS2_CHECK(!running_) << "heartbeat monitor already running";
   running_ = true;
-  const auto now = Clock::now();
-  last_beat_.assign(static_cast<size_t>(cfg_.ranks), now);
+  last_beat_.assign(static_cast<size_t>(cfg_.ranks), now());
   suspected_.assign(static_cast<size_t>(cfg_.ranks), false);
   suspect_events_ = 0;
   scans_ = 0;
@@ -54,7 +56,7 @@ void HeartbeatMonitor::stop() {
 void HeartbeatMonitor::beat(int rank) {
   std::lock_guard<std::mutex> lock(mu_);
   LS2_CHECK(rank >= 0 && rank < cfg_.ranks) << "beat from unknown rank " << rank;
-  last_beat_[static_cast<size_t>(rank)] = Clock::now();
+  last_beat_[static_cast<size_t>(rank)] = now();
   // A late beat clears the suspicion: the rank was stalled, not dead.
   suspected_[static_cast<size_t>(rank)] = false;
 }
@@ -84,28 +86,34 @@ int64_t HeartbeatMonitor::scans() const {
   return scans_;
 }
 
-void HeartbeatMonitor::watch() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (running_) {
-    cv_.wait_for(lock, cfg_.interval, [this] { return !running_; });
-    if (!running_) break;
+void HeartbeatMonitor::scan() {
+  std::vector<int> newly;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     ++scans_;
-    const auto now = Clock::now();
-    std::vector<int> newly;
+    const auto t = now();
     for (int r = 0; r < cfg_.ranks; ++r) {
       const size_t i = static_cast<size_t>(r);
-      if (!suspected_[i] && now - last_beat_[i] > cfg_.timeout) {
+      if (!suspected_[i] && t - last_beat_[i] > cfg_.timeout) {
         suspected_[i] = true;
         ++suspect_events_;
         newly.push_back(r);
       }
     }
-    if (on_suspect_ && !newly.empty()) {
-      // Callback runs unlocked: it may call back into suspected()/beat().
-      lock.unlock();
-      for (int r : newly) on_suspect_(r);
-      lock.lock();
-    }
+  }
+  // Callback runs unlocked: it may call back into suspected()/beat().
+  if (on_suspect_)
+    for (int r : newly) on_suspect_(r);
+}
+
+void HeartbeatMonitor::watch() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (running_) {
+    cv_.wait_for(lock, cfg_.interval, [this] { return !running_; });
+    if (!running_) break;
+    lock.unlock();
+    scan();
+    lock.lock();
   }
 }
 

@@ -11,7 +11,9 @@
 //    every `interval` and SUSPECTS any rank whose last beat is older than
 //    `timeout`. This is the host-side component — it runs on std::thread +
 //    mutex + condition_variable for real, which is exactly why the TSan CI
-//    lane exercises it (ci.sh --preset tsan).
+//    lane exercises it (ci.sh --preset tsan). The time source is injectable
+//    (HeartbeatConfig::clock) and one watcher pass is callable by hand
+//    (scan()), so a test can step time itself instead of racing a thread.
 //
 // A suspected rank that beats again is un-suspected (transient stall — the
 // collective may still complete); the `suspect_events` counter keeps the
@@ -34,6 +36,8 @@ struct HeartbeatConfig {
   std::chrono::milliseconds interval{2};
   /// A rank is suspected when its last beat is older than this.
   std::chrono::milliseconds timeout{20};
+  /// Time source for beats and scans; empty = std::chrono::steady_clock.
+  std::function<std::chrono::steady_clock::time_point()> clock;
 
   /// Build from the SessionConfig knobs (heartbeat_interval_ms /
   /// heartbeat_timeout_ms) — fractional milliseconds round up to 1 ms so a
@@ -49,10 +53,17 @@ class HeartbeatMonitor {
   HeartbeatMonitor(const HeartbeatMonitor&) = delete;
   HeartbeatMonitor& operator=(const HeartbeatMonitor&) = delete;
 
-  /// Spawn the watcher thread. Every rank starts fresh (beat implied now).
+  /// Spawn the watcher thread. Every rank starts fresh (beat implied now),
+  /// as at construction.
   void start();
   /// Stop and join the watcher; idempotent, called by the destructor.
   void stop();
+  /// One watcher pass at the clock's current time: suspect every rank whose
+  /// last beat is older than cfg.timeout, then run on_suspect for each
+  /// newly suspected rank (on the calling thread, unlocked). The watcher
+  /// thread calls this every interval; a monitor that is never started is
+  /// driven by calling it by hand.
+  void scan();
 
   /// Rank `rank` is alive — callable from any thread, any number of
   /// threads concurrently.
@@ -63,15 +74,17 @@ class HeartbeatMonitor {
   bool any_suspected() const;
   /// Total rank-enters-suspected transitions observed by the watcher.
   int64_t suspect_events() const;
-  /// Watcher wake-ups so far (tests use this to await a scan).
+  /// Scans so far (watcher wake-ups plus manual scan() calls).
   int64_t scans() const;
 
-  /// Optional notification, invoked FROM THE WATCHER THREAD each time a
-  /// rank transitions into the suspected state. Set before start().
+  /// Optional notification, invoked from the scanning thread (the watcher,
+  /// once started) each time a rank transitions into the suspected state.
+  /// Set before start().
   void on_suspect(std::function<void(int rank)> cb) { on_suspect_ = std::move(cb); }
 
  private:
   using Clock = std::chrono::steady_clock;
+  Clock::time_point now() const { return cfg_.clock ? cfg_.clock() : Clock::now(); }
   void watch();
 
   HeartbeatConfig cfg_;

@@ -311,8 +311,21 @@ void ContinuousBatcher::decode_once() {
       }
       {
         obs::SpanScope range(dev, "serve.decode");
-        Tensor logits = model_->decode_step(ctx, ids_, *cache_);  // [S, V]
-        gen_.next_tokens(ctx.kern, ctx.policy.softmax, logits, sampled_);
+        if (act == core::GraphAction::kReplay && !execute) {
+          // Model-only replay: no kernel body runs and harvest_token
+          // synthesizes the tokens, so re-running the model would only
+          // issue launches to check against the graph. The device walks
+          // the captured nodes instead; an injected fault at an allocation
+          // node fails the step as the arena would (no tensor is live
+          // during the walk, so none is in use).
+          if (const simgpu::GraphNode* failed = dev.walk_replay())
+            throw mem::TransientAllocFailure(
+                failed->alloc_bytes, /*in_use=*/0,
+                static_cast<int64_t>(session_->config().arena_bytes), failed->range);
+        } else {
+          Tensor logits = model_->decode_step(ctx, ids_, *cache_);  // [S, V]
+          gen_.next_tokens(ctx.kern, ctx.policy.softmax, logits, sampled_);
+        }
       }
       if (act == core::GraphAction::kCapture) {
         session_->store_graph(dev.end_capture());

@@ -16,7 +16,9 @@
 //   [decode]      ONE static-shape decode step over ALL lanes (inactive
 //                 lanes attend nothing and are ignored) — the region
 //                 core::Session::begin_decode_step captures once and then
-//                 replays as a single graph launch;
+//                 replays as a single graph launch. A model-only replay
+//                 does not re-run the model: simgpu::Device::walk_replay
+//                 charges the captured nodes directly;
 //   [retire]      finished sequences free their lane and pages immediately.
 //
 // Continuous batching (FastSeq/Orca discipline) admits into any free slot

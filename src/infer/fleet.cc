@@ -66,6 +66,12 @@ Fleet::~Fleet() {
   }
 }
 
+const simgpu::Device& Fleet::device(int replica) const {
+  LS2_CHECK(replica >= 0 && replica < cfg_.replicas)
+      << "replica " << replica << " of " << cfg_.replicas;
+  return replicas_[static_cast<size_t>(replica)].session->device();
+}
+
 int Fleet::live_replicas() const {
   int n = 0;
   for (const Replica& rep : replicas_)

@@ -162,6 +162,9 @@ class Fleet {
   void write_chrome_trace(const std::string& path) const;
 
   int live_replicas() const;
+  /// Replica `replica`'s simulated device: its clock, stats, per-kernel and
+  /// range times.
+  const simgpu::Device& device(int replica) const;
 
  private:
   struct Replica {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "simgpu/fault.h"
-
 namespace ls2::mem {
 
 namespace {
@@ -27,11 +25,12 @@ ArenaAllocator::~ArenaAllocator() {
 
 void* ArenaAllocator::allocate(size_t bytes) {
   const size_t want = align_up(bytes);
-  // Injected transient failure: the request is well within capacity, the
-  // allocator just hiccups (driver retry, momentary fragmentation) — typed
-  // distinctly from OutOfMemory so callers retry instead of resizing.
-  if (simgpu::FaultInjector* fault = device_.fault_injector();
-      fault != nullptr && fault->should_fail_alloc(device_.current_range())) {
+  // The device records this allocation as a graph node under capture and
+  // checks it under replay. It also reports an injected transient failure:
+  // the request is well within capacity, the allocator just hiccups (driver
+  // retry, momentary fragmentation) — typed distinctly from OutOfMemory so
+  // callers retry instead of resizing.
+  if (device_.on_arena_alloc(static_cast<int64_t>(want))) {
     throw TransientAllocFailure(static_cast<int64_t>(want),
                                 static_cast<int64_t>(used_),
                                 static_cast<int64_t>(capacity_),

@@ -1,6 +1,7 @@
 #include "simgpu/device.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/check.h"
@@ -33,6 +34,7 @@ void Device::pop_charge_scale() {
 }
 
 void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
+  ++host_launches_;
   KernelDesc scaled;
   const KernelDesc& desc = [&]() -> const KernelDesc& {
     if (charge_scale_ == 1.0) return launch_desc;
@@ -49,33 +51,12 @@ void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
   LS2_CHECK(desc.compute_efficiency > 0 && desc.compute_efficiency <= 1.0)
       << desc.name << " compute_efficiency " << desc.compute_efficiency;
 
-  stats_.launches += 1;
-  stats_.bytes_moved += desc.bytes_read + desc.bytes_written;
-  stats_.flops += desc.flops;
-
-  KernelStats& ks = per_kernel_[desc.name];
-  ks.launches += 1;
-  ks.bytes += desc.bytes_read + desc.bytes_written;
-  ks.flops += desc.flops;
-
   if (graph_phase_ == GraphPhase::kReplay) {
-    // Replayed kernels run back to back: the graph was dispatched as one
-    // unit (charged in begin_replay), so there is no per-launch gap. The
-    // execution time is the one BAKED INTO the graph node at capture — a
-    // replay runs the captured launch parameters, not freshly-derived ones.
-    // Faults still apply: replay fixes the launch sequence, not the silicon.
-    double exec = consume_node(GraphNode::Kind::kKernel, &desc).exec_us;
-    if (fault_ != nullptr) exec *= fault_->on_kernel(desc.name);
-    stats_.replayed_launches += 1;
-    stats_.busy_us += exec;
-    ks.time_us += exec;
-    ks.exec_us += exec;
-    ks.tensor_core = desc.tensor_core;
-    const double busy_begin = clock_us_;
-    clock_us_ += exec;
-    if (record_timeline_) timeline_.record_busy(busy_begin, clock_us_);
-    attribute(exec);
+    const GraphNode& node = consume_node(GraphNode::Kind::kKernel, &desc);
+    attribute(charge_replayed(desc, node.exec_us, per_kernel_[desc.name]));
   } else {
+    KernelStats& ks = per_kernel_[desc.name];
+    count_launch(desc, ks);
     // The spike multiplier is charged live but the CAPTURE records the clean
     // execution time: a transient stall on the capture step must not get
     // baked into every future replay.
@@ -100,6 +81,7 @@ void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
       node.kind = GraphNode::Kind::kKernel;
       node.desc = desc;
       node.exec_us = base_exec;
+      node.range = current_range();
       capture_.nodes.push_back(std::move(node));
       capture_.kernel_launches += 1;
       capture_.kernel_exec_us += base_exec;
@@ -107,6 +89,35 @@ void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
   }
 
   if (mode_ == ExecMode::kExecute && body) body();
+}
+
+void Device::count_launch(const KernelDesc& desc, KernelStats& ks) {
+  const int64_t bytes = desc.bytes_read + desc.bytes_written;
+  stats_.launches += 1;
+  stats_.bytes_moved += bytes;
+  stats_.flops += desc.flops;
+  ks.launches += 1;
+  ks.bytes += bytes;
+  ks.flops += desc.flops;
+}
+
+double Device::charge_replayed(const KernelDesc& desc, double exec_us, KernelStats& ks) {
+  count_launch(desc, ks);
+  // Replayed kernels run back to back: the graph was dispatched as one
+  // unit (charged in begin_replay), so there is no per-launch gap. The
+  // execution time is the one BAKED INTO the graph node at capture — a
+  // replay runs the captured launch parameters, not freshly-derived ones.
+  // Faults still apply: replay fixes the launch sequence, not the silicon.
+  if (fault_ != nullptr) exec_us *= fault_->on_kernel(desc.name);
+  stats_.replayed_launches += 1;
+  stats_.busy_us += exec_us;
+  ks.time_us += exec_us;
+  ks.exec_us += exec_us;
+  ks.tensor_core = desc.tensor_core;
+  const double busy_begin = clock_us_;
+  clock_us_ += exec_us;
+  if (record_timeline_) timeline_.record_busy(busy_begin, clock_us_);
+  return exec_us;
 }
 
 void Device::advance(double us, bool busy, const std::string& attribution) {
@@ -229,6 +240,28 @@ const std::string& Device::current_range() const {
   return range_stack_.empty() ? kNoRange : range_stack_.back().name;
 }
 
+bool Device::on_arena_alloc(int64_t bytes) {
+  if (graph_phase_ == GraphPhase::kCapture) {
+    GraphNode node;
+    node.kind = GraphNode::Kind::kAlloc;
+    node.alloc_bytes = bytes;
+    node.range = current_range();
+    capture_.nodes.push_back(std::move(node));
+  } else if (graph_phase_ == GraphPhase::kReplay) {
+    const GraphNode& node = consume_node(GraphNode::Kind::kAlloc, nullptr);
+    if (node.alloc_bytes != bytes)
+      throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) +
+                       ": replayed arena allocation of " + std::to_string(bytes) +
+                       " B != captured " + std::to_string(node.alloc_bytes) +
+                       " B — the step is not address-stable");
+  }
+  return alloc_fault(current_range());
+}
+
+bool Device::alloc_fault(const std::string& range) {
+  return fault_ != nullptr && fault_->should_fail_alloc(range);
+}
+
 void Device::charge_alloc(bool cache_hit) {
   stats_.alloc_events += 1;
   if (graph_phase_ == GraphPhase::kReplay) {
@@ -284,8 +317,10 @@ void Device::begin_capture() {
 
 StepGraph Device::end_capture() {
   LS2_CHECK(graph_phase_ == GraphPhase::kCapture) << "end_capture without capture";
+  static std::atomic<uint64_t> next_graph_id{1};
   graph_phase_ = GraphPhase::kNone;
   capture_.valid = !capture_poisoned_;
+  capture_.id = next_graph_id.fetch_add(1, std::memory_order_relaxed);
   return std::move(capture_);
 }
 
@@ -324,6 +359,38 @@ void Device::end_replay() {
   replay_cursor_ = 0;
 }
 
+const GraphNode* Device::walk_replay() {
+  LS2_CHECK(graph_phase_ == GraphPhase::kReplay) << "walk_replay without begin_replay";
+  const std::vector<GraphNode>& nodes = replay_->nodes;
+  if (replay_->id == 0 || replay_->id != walk_graph_id_) {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].kind == GraphNode::Kind::kCommEnqueue ||
+          nodes[i].kind == GraphNode::Kind::kCommWait)
+        throw GraphError("walk_replay: graph node " + std::to_string(i) +
+                         " is a comm operation — a graph with comm nodes must be "
+                         "replayed host-driven");
+    }
+    walk_slots_.assign(nodes.size(), WalkSlot{});
+    walk_graph_id_ = replay_->id;
+  }
+  while (replay_cursor_ < nodes.size()) {
+    const size_t i = replay_cursor_++;
+    const GraphNode& node = nodes[i];
+    if (node.kind == GraphNode::Kind::kAlloc) {
+      if (alloc_fault(node.range)) return &node;
+      continue;
+    }
+    WalkSlot& slot = walk_slots_[i];
+    if (slot.kernel == nullptr) slot.kernel = &per_kernel_[node.desc.name];
+    const double exec = charge_replayed(node.desc, node.exec_us, *slot.kernel);
+    if (!node.range.empty()) {
+      if (slot.range == nullptr) slot.range = &range_times_[node.range];
+      *slot.range += exec;
+    }
+  }
+  return nullptr;
+}
+
 void Device::abort_graph() noexcept {
   graph_phase_ = GraphPhase::kNone;
   replay_ = nullptr;
@@ -332,14 +399,28 @@ void Device::abort_graph() noexcept {
   capture_poisoned_ = false;
 }
 
+namespace {
+const char* node_kind_name(GraphNode::Kind kind) {
+  switch (kind) {
+    case GraphNode::Kind::kKernel: return "a kernel launch";
+    case GraphNode::Kind::kCommEnqueue: return "a comm enqueue";
+    case GraphNode::Kind::kCommWait: return "a comm wait";
+    case GraphNode::Kind::kAlloc: return "an arena allocation";
+  }
+  return "unknown";
+}
+}  // namespace
+
 const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* desc) {
   if (replay_cursor_ >= replay_->nodes.size())
     throw GraphError("replayed step issued more operations than the captured graph (" +
-                     std::to_string(replay_->nodes.size()) + " nodes)");
+                     std::to_string(replay_->nodes.size()) + " nodes): extra " +
+                     node_kind_name(kind));
   const GraphNode& node = replay_->nodes[replay_cursor_++];
   if (node.kind != kind)
-    throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) +
-                     " kind mismatch under replay");
+    throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) + " is " +
+                     node_kind_name(node.kind) + " but the replayed step issued " +
+                     node_kind_name(kind));
   if (desc != nullptr) {
     if (!(node.desc.name == desc->name &&
           node.desc.bytes_read == desc->bytes_read &&
@@ -374,6 +455,9 @@ void Device::reset() {
   per_kernel_.clear();
   range_times_.clear();
   for (RangeFrame& f : range_stack_) f.slot = nullptr;
+  walk_slots_.clear();
+  walk_graph_id_ = 0;
+  host_launches_ = 0;
   timeline_.clear();
   abort_graph();
 }

@@ -91,13 +91,19 @@ struct DeviceStats {
 
 /// One recorded operation of a captured step graph.
 struct GraphNode {
-  enum class Kind { kKernel, kCommEnqueue, kCommWait };
+  enum class Kind { kKernel, kCommEnqueue, kCommWait, kAlloc };
   Kind kind = Kind::kKernel;
   KernelDesc desc;     ///< kKernel: validated against the replayed launch
   /// kKernel: execution time baked in at capture — what each replay charges
   /// (a replay runs the captured launch parameters, not fresh ones).
   double exec_us = 0;
   double comm_us = 0;  ///< kCommEnqueue: modeled transfer duration
+  /// kAlloc: bytes of one arena sub-allocation (validated under replay).
+  int64_t alloc_bytes = 0;
+  /// kKernel / kAlloc: innermost active range at capture — where a walked
+  /// kernel's time lands, and the site a walked allocation's fault check
+  /// matches against.
+  std::string range;
 };
 
 /// An immutable recording of one steady-state step's device work, produced
@@ -114,6 +120,9 @@ struct StepGraph {
   double kernel_exec_us = 0;    ///< sum of their execution times
   bool valid = false;           ///< false until end_capture, or when poisoned
   std::string poison_reason;    ///< why capture failed (first offense)
+  /// Unique per end_capture in the process (0: never captured) — the key
+  /// under which Device::walk_replay caches its resolved stats slots.
+  uint64_t id = 0;
 };
 
 /// Non-owning reference to a kernel body: a pointer to the caller's
@@ -153,8 +162,9 @@ class KernelBody {
 class Device {
  public:
   explicit Device(DeviceProfile profile, ExecMode mode = ExecMode::kExecute);
-  // Not copyable: the range stack caches pointers into range_times_ (a
-  // move keeps them valid, a copy would not).
+  // Not copyable: the range stack and the walk cache hold pointers into
+  // range_times_ and per_kernel_ (a move keeps them valid, a copy would
+  // not).
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
   Device(Device&&) = default;
@@ -223,11 +233,26 @@ class Device {
   // stall means addresses are not stable — the arena never stalls, which is
   // what certifies it capture-safe) and full-stream syncs.
   //
+  // Arena sub-allocations are graph nodes too (kAlloc, see on_arena_alloc):
+  // they cost no device time, but recording them lets a replay check the
+  // step allocates exactly as captured and lets a walk (below) fire
+  // injected allocation faults at the same point of the step.
+  //
   // Replay consumes the graph's nodes in order: begin_replay charges one
-  // graph-launch overhead, each launch is validated against its node (name,
-  // bytes, flops — a mismatch means the step is not actually static) and
-  // charged only its execution time, back to back. Kernel bodies still run
-  // in kExecute mode — replay changes the cost model, never the numerics.
+  // graph-launch overhead. A replay is then driven one of two ways:
+  //  * host-driven — the host re-runs the step: each launch and arena
+  //    allocation is validated against its node (name, bytes, flops — a
+  //    mismatch means the step is not actually static) and a launch is
+  //    charged only its execution time, back to back. Kernel bodies still
+  //    run in kExecute mode — replay changes the cost model, never the
+  //    numerics. kExecute and training replays are driven this way.
+  //  * walked — walk_replay charges the remaining nodes itself, with no
+  //    host launch at all. For a kModelOnly step whose outputs nothing
+  //    reads (a model-only decode step), re-running the model would only
+  //    produce launches to validate and throw away. The walk charges a
+  //    kernel node exactly as a host-driven replayed launch (stats,
+  //    per-kernel stats, fault hooks, timeline, range time) and runs the
+  //    allocation-fault check at each kAlloc node.
 
   void begin_capture();
   /// Finish capture; the result is valid unless capture was poisoned.
@@ -239,6 +264,15 @@ class Device {
   void begin_replay(const StepGraph& graph);
   /// Finish replay; checks every node was consumed.
   void end_replay();
+  /// Walk the replay in progress: charge every node not yet consumed, in
+  /// order, without host launches. A kernel node is charged to the range
+  /// recorded at capture. Returns the kAlloc node whose injected fault
+  /// failed it (the walk stops after it; the caller raises the allocator's
+  /// transient failure), or nullptr when the walk reached the end. Throws
+  /// GraphError on a graph with comm nodes: their completion times are
+  /// replay-time parameters of the host's comm schedule. Stats slots are
+  /// resolved once per (graph, reset()).
+  const GraphNode* walk_replay();
   /// Abandon any capture/replay in progress without validation — for
   /// unwinding after an exception mid-step. Never throws.
   void abort_graph() noexcept;
@@ -264,6 +298,12 @@ class Device {
   /// (the 1F1B engine) call it explicitly at their sync boundary.
   void at_sync_point(const std::string& attribution);
 
+  /// Arena hook, one call per sub-allocation of `bytes` from pre-reserved
+  /// memory: records a kAlloc node under capture, consumes (and validates)
+  /// one under host-driven replay, and returns true when an armed
+  /// allocation fault fails this request — the allocator then raises its
+  /// transient failure. Charges no time: the arena never stalls.
+  bool on_arena_alloc(int64_t bytes);
   /// Allocator hooks: charge allocation latency and record the watermark.
   void charge_alloc(bool cache_hit);
   void charge_free();
@@ -271,6 +311,9 @@ class Device {
 
   double clock_us() const { return clock_us_; }
   const DeviceStats& stats() const { return stats_; }
+  /// launch() calls since construction or reset(): the kernels the host
+  /// issued, as opposed to the ones a walk charged.
+  int64_t host_launches() const { return host_launches_; }
   const std::map<std::string, KernelStats>& per_kernel() const { return per_kernel_; }
 
   /// Time attributed to a named range across all launches so far.
@@ -303,6 +346,14 @@ class Device {
   enum class GraphPhase { kNone, kCapture, kReplay };
 
   void attribute(double us);
+  /// Count one kernel execution in the device and per-family stats.
+  void count_launch(const KernelDesc& desc, KernelStats& ks);
+  /// Charge one replayed kernel node, shared by host-driven replay and the
+  /// walk: faults apply on top of the captured `exec_us`. Returns the time
+  /// charged, which the caller attributes to a range.
+  double charge_replayed(const KernelDesc& desc, double exec_us, KernelStats& ks);
+  /// True when an armed allocation fault matching `range` fails this one.
+  bool alloc_fault(const std::string& range);
   /// Replay-side node matching: checks the next node has `kind` (and, for
   /// kernels, an equal descriptor) and advances the cursor.
   const GraphNode& consume_node(GraphNode::Kind kind, const KernelDesc* desc);
@@ -329,6 +380,15 @@ class Device {
     double* slot = nullptr;
   };
   std::vector<RangeFrame> range_stack_;
+  /// walk_replay's per-node stats slots for graph walk_graph_id_, filled
+  /// the first time each node is charged; reset() drops them.
+  struct WalkSlot {
+    KernelStats* kernel = nullptr;
+    double* range = nullptr;
+  };
+  std::vector<WalkSlot> walk_slots_;
+  uint64_t walk_graph_id_ = 0;
+  int64_t host_launches_ = 0;
   Timeline timeline_;
   bool record_timeline_ = false;
   FaultInjector* fault_ = nullptr;  ///< not owned; null = fault-free

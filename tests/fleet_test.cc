@@ -16,12 +16,15 @@
 //     admission, shed-vs-deadline interplay under a burst.
 //  6. LIVENESS — a slow-but-alive replica is NEVER falsely evicted by the
 //     heartbeat watcher (SessionConfig-driven intervals).
+//  7. WALKED REPLAY PARITY — a model-only replica that walks its captured
+//     decode graph charges exactly what a host-driven (execute-mode) replay
+//     charges, faults included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -427,41 +430,150 @@ TEST(HeartbeatMonitorTest, FromMillisRoundsUpAndValidates) {
 TEST(HeartbeatMonitorTest, SlowButAliveRankIsNeverEvicted) {
   // The SessionConfig default shape: timeout is a multiple of any plausible
   // beat cadence. A rank beating at 1/5th the watcher rate is SLOW but
-  // alive — it must never be suspected; only the silent rank is.
-  dist::HeartbeatMonitor mon(dist::HeartbeatConfig::from_millis(2, 2.0, 60.0));
-  std::atomic<bool> slow_rank_suspected{false};
-  mon.on_suspect([&](int rank) {
-    if (rank == 0) slow_rank_suspected.store(true);
-  });
-  mon.start();
-  mon.beat(1);  // rank 1 beats once, then goes silent
+  // alive — it must never be suspected; only the silent rank is. Time moves
+  // only when the test moves it, so no descheduled thread can evict anyone.
+  std::chrono::steady_clock::time_point t{};
+  dist::HeartbeatConfig hc = dist::HeartbeatConfig::from_millis(2, 2.0, 60.0);
+  hc.clock = [&t] { return t; };
+  dist::HeartbeatMonitor mon(hc);
+  std::vector<int> reported;
+  mon.on_suspect([&](int rank) { reported.push_back(rank); });
+  mon.beat(1);  // rank 1 beats once at t = 0, then goes silent
 
-  std::atomic<bool> stop{false};
-  std::thread slow([&] {
-    while (!stop.load()) {
-      mon.beat(0);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));  // slow beat
-    }
-  });
-
-  // Wait until the watcher notices the SILENT rank (bounded, not timed).
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool suspected_silent = false;
-  while (std::chrono::steady_clock::now() < deadline) {
+  for (int ms = 2; ms <= 200; ms += 2) {  // one watcher pass per interval
+    t += std::chrono::milliseconds(2);
+    if (ms % 10 == 0) mon.beat(0);  // slow beat
+    mon.scan();
     const std::vector<int> s = mon.suspected();
-    if (std::find(s.begin(), s.end(), 1) != s.end()) {
-      suspected_silent = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Rank 1 is suspected at the first scan past its 60 ms timeout.
+    const std::vector<int> want = ms > 60 ? std::vector<int>{1} : std::vector<int>{};
+    ASSERT_EQ(s, want) << "at t = " << ms << " ms";
   }
-  stop.store(true);
-  slow.join();
-  mon.stop();
-
-  EXPECT_TRUE(suspected_silent) << "the silent rank must be noticed";
-  EXPECT_FALSE(slow_rank_suspected.load())
+  EXPECT_EQ(reported, std::vector<int>{1})
       << "a slow-but-alive rank must never be falsely evicted";
+  EXPECT_EQ(mon.suspect_events(), 1);
+  EXPECT_EQ(mon.scans(), 100);
+}
+
+// ---------------------------------------------------------------------------
+// 7. Walked replay parity
+// ---------------------------------------------------------------------------
+
+void expect_same_device(const simgpu::Device& a, const simgpu::Device& b, int replica) {
+  SCOPED_TRACE("replica " + std::to_string(replica));
+  EXPECT_EQ(a.clock_us(), b.clock_us());
+  EXPECT_EQ(a.comm_clock_us(), b.comm_clock_us());
+  const simgpu::DeviceStats& x = a.stats();
+  const simgpu::DeviceStats& y = b.stats();
+  EXPECT_EQ(x.launches, y.launches);
+  EXPECT_EQ(x.bytes_moved, y.bytes_moved);
+  EXPECT_EQ(x.flops, y.flops);
+  EXPECT_EQ(x.busy_us, y.busy_us);
+  EXPECT_EQ(x.overhead_us, y.overhead_us);
+  EXPECT_EQ(x.launch_gap_us, y.launch_gap_us);
+  EXPECT_EQ(x.alloc_stall_us, y.alloc_stall_us);
+  EXPECT_EQ(x.alloc_events, y.alloc_events);
+  EXPECT_EQ(x.comm_transfers, y.comm_transfers);
+  EXPECT_EQ(x.comm_us, y.comm_us);
+  EXPECT_EQ(x.exposed_comm_us, y.exposed_comm_us);
+  EXPECT_EQ(x.graph_replays, y.graph_replays);
+  EXPECT_EQ(x.replayed_launches, y.replayed_launches);
+  EXPECT_EQ(x.graph_launch_us, y.graph_launch_us);
+  ASSERT_EQ(a.per_kernel().size(), b.per_kernel().size());
+  for (auto ia = a.per_kernel().begin(), ib = b.per_kernel().begin();
+       ia != a.per_kernel().end(); ++ia, ++ib) {
+    SCOPED_TRACE(ia->first);
+    EXPECT_EQ(ia->first, ib->first);
+    EXPECT_EQ(ia->second.launches, ib->second.launches);
+    EXPECT_EQ(ia->second.bytes, ib->second.bytes);
+    EXPECT_EQ(ia->second.flops, ib->second.flops);
+    EXPECT_EQ(ia->second.time_us, ib->second.time_us);
+    EXPECT_EQ(ia->second.exec_us, ib->second.exec_us);
+    EXPECT_EQ(ia->second.tensor_core, ib->second.tensor_core);
+  }
+  EXPECT_EQ(a.range_times(), b.range_times());
+}
+
+TEST(FleetTest, WalkedModelOnlyReplayMatchesHostDrivenReplayUnderFaults) {
+  // A model-only replica walks its captured decode graph; an execute-mode
+  // replica re-runs the model and checks each launch and allocation against
+  // the graph. Both must charge the same device work, and the faults must
+  // land on the same operations of replayed steps: an allocation failure
+  // inside the decode span (retried), a kernel spike, and a device loss
+  // (re-dispatched). Sampled tokens differ (model-only runs synthesize
+  // them), so only timings and counts are compared.
+  const auto reqs = infer::poisson_requests(16, /*rate=*/20000.0, 3, 9, 20, 30,
+                                            fleet_gpt2().vocab, 5);
+  auto run = [&](simgpu::ExecMode mode) {
+    infer::FleetConfig fc = fleet_config(2, mode, DType::kF16);
+    fc.session.graph_capture = true;
+    fc.fault_plans.resize(2);
+    fc.fault_plans[0]
+        .add(FaultPlan::alloc_fail(/*step=*/10, /*count=*/1, "serve.decode"))
+        .add(FaultPlan::kernel_spike(/*step=*/12, "", /*factor=*/8.0))
+        .add(FaultPlan::device_loss(/*step=*/14, /*rank=*/0));
+    auto fleet = std::make_unique<infer::Fleet>(fc);
+    infer::FleetReport rep = fleet->run(reqs);
+    return std::pair{std::move(fleet), std::move(rep)};
+  };
+  const auto [walked_fleet, walked] = run(simgpu::ExecMode::kModelOnly);
+  const auto [host_fleet, host] = run(simgpu::ExecMode::kExecute);
+
+  // The faults hit replayed steps: replica 0 captured at step 1, retried
+  // step 10, and died at step 14.
+  ASSERT_EQ(walked.replica_reports.size(), 2u);
+  const infer::ServeReport& r0 = walked.replica_reports[0];
+  EXPECT_EQ(r0.decode_steps, 14);
+  EXPECT_EQ(r0.replayed_steps, 12);
+  EXPECT_EQ(r0.decode_retries, 1);
+  EXPECT_EQ(walked.deaths, 1);
+  EXPECT_GE(walked.redispatches, 1);
+  EXPECT_EQ(walked.served, static_cast<int64_t>(reqs.size()));
+
+  EXPECT_EQ(walked.decode_steps, host.decode_steps);
+  EXPECT_EQ(walked.replayed_steps, host.replayed_steps);
+  EXPECT_EQ(walked.decode_retries, host.decode_retries);
+  EXPECT_EQ(walked.redispatches, host.redispatches);
+  EXPECT_EQ(walked.deaths, host.deaths);
+  EXPECT_EQ(walked.quarantines, host.quarantines);
+  EXPECT_EQ(walked.served, host.served);
+  EXPECT_EQ(walked.shed, host.shed);
+  EXPECT_EQ(walked.generated_tokens, host.generated_tokens);
+  EXPECT_EQ(walked.makespan_us, host.makespan_us);
+  EXPECT_EQ(walked.tokens_per_sec, host.tokens_per_sec);
+  EXPECT_EQ(walked.p50_latency_us, host.p50_latency_us);
+  EXPECT_EQ(walked.p99_latency_us, host.p99_latency_us);
+  EXPECT_EQ(walked.mean_latency_us, host.mean_latency_us);
+  ASSERT_EQ(walked.requests.size(), host.requests.size());
+  for (size_t i = 0; i < walked.requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const infer::RequestStats& a = walked.requests[i];
+    const infer::RequestStats& b = host.requests[i];
+    EXPECT_EQ(a.arrival_us, b.arrival_us);
+    EXPECT_EQ(a.admitted_us, b.admitted_us);
+    EXPECT_EQ(a.first_token_us, b.first_token_us);
+    EXPECT_EQ(a.done_us, b.done_us);
+    EXPECT_EQ(a.generated, b.generated);
+  }
+  for (int r = 0; r < 2; ++r) {
+    const infer::ServeReport& a = walked.replica_reports[static_cast<size_t>(r)];
+    const infer::ServeReport& b = host.replica_reports[static_cast<size_t>(r)];
+    EXPECT_EQ(a.decode_steps, b.decode_steps);
+    EXPECT_EQ(a.replayed_steps, b.replayed_steps);
+    EXPECT_EQ(a.decode_retries, b.decode_retries);
+    EXPECT_EQ(a.prefills, b.prefills);
+    EXPECT_EQ(a.makespan_us, b.makespan_us);
+    expect_same_device(walked_fleet->device(r), host_fleet->device(r), r);
+  }
+  // The model-only replicas really walked: none of their replayed kernels
+  // was launched from the host. (Replica 0's host-driven run also issued
+  // the launch that lost the device, which never executed.)
+  for (int r = 0; r < 2; ++r) {
+    const int64_t lost_launch = r == 0 ? 1 : 0;
+    EXPECT_EQ(walked_fleet->device(r).host_launches(),
+              host_fleet->device(r).host_launches() -
+                  host_fleet->device(r).stats().replayed_launches - lost_launch);
+  }
 }
 
 }  // namespace

@@ -326,5 +326,43 @@ TEST(GraphCaptureSafety, ArenaSessionIsCaptureSafe) {
   EXPECT_TRUE(session.graph_capture_supported());
 }
 
+// Arena sub-allocations are graph nodes: a replay that allocates more or
+// less than the captured step did is not address-stable, and is rejected.
+TEST(GraphCaptureSafety, ExtraOrMissingArenaAllocationUnderReplayThrows) {
+  simgpu::Device dev(simgpu::v100(), simgpu::ExecMode::kModelOnly);
+  mem::ArenaAllocator arena(dev, 1u << 16, mem::DeviceAllocator::Backing::kVirtual);
+  simgpu::KernelDesc k;
+  k.name = "test.kernel";
+  k.bytes_read = 4096;
+  auto step = [&](int allocations) {
+    for (int i = 0; i < allocations; ++i) {
+      void* p = arena.allocate(1000);
+      dev.launch(k, nullptr);
+      arena.deallocate(p, 1000);
+    }
+  };
+
+  dev.begin_capture();
+  step(2);
+  const simgpu::StepGraph graph = dev.end_capture();
+  ASSERT_TRUE(graph.valid);
+  EXPECT_EQ(graph.nodes.size(), 4u);
+
+  dev.begin_replay(graph);
+  step(2);
+  dev.end_replay();
+
+  dev.begin_replay(graph);
+  EXPECT_THROW(step(3), simgpu::GraphError) << "an extra allocation";
+  dev.abort_graph();
+  arena.reset();
+
+  dev.begin_replay(graph);
+  step(1);
+  EXPECT_THROW(dev.launch(k, nullptr), simgpu::GraphError) << "a missing allocation";
+  dev.abort_graph();
+  arena.reset();
+}
+
 }  // namespace
 }  // namespace ls2

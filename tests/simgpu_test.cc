@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/check.h"
+#include "simgpu/fault.h"
 #include "simgpu/profile.h"
 
 namespace ls2::simgpu {
@@ -404,6 +405,197 @@ TEST(StepGraphTest, ResetAbortsGraphPhase) {
   EXPECT_FALSE(dev.capturing());
   dev.begin_capture();  // would throw if the phase leaked
   (void)dev.end_capture();
+}
+
+// --- arena allocations as graph nodes, and the walked replay ---
+
+KernelDesc named_kernel(const char* name, int64_t bytes) {
+  KernelDesc d = bytes_kernel(bytes);
+  d.name = name;
+  return d;
+}
+
+/// The decode-shaped step these tests capture: two kernels around one
+/// arena allocation, inside a "decode" range.
+void issue_step(Device& dev) {
+  ScopedRange r(dev, "decode");
+  dev.launch(named_kernel("test.a", 720 * 1000), nullptr);
+  EXPECT_FALSE(dev.on_arena_alloc(512));
+  dev.launch(named_kernel("test.b", 2 * 720 * 1000), nullptr);
+}
+
+StepGraph capture_step(Device& dev) {
+  dev.begin_capture();
+  issue_step(dev);
+  StepGraph graph = dev.end_capture();
+  EXPECT_TRUE(graph.valid);
+  return graph;
+}
+
+TEST(StepGraphTest, ArenaAllocationsAreValidatedUnderHostDrivenReplay) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  const StepGraph graph = capture_step(dev);
+  ASSERT_EQ(graph.nodes.size(), 3u);
+  EXPECT_EQ(graph.nodes[1].kind, GraphNode::Kind::kAlloc);
+  EXPECT_EQ(graph.nodes[1].alloc_bytes, 512);
+  EXPECT_EQ(graph.nodes[1].range, "decode");
+  EXPECT_EQ(graph.kernel_launches, 2);
+
+  // The captured sequence replays cleanly.
+  dev.begin_replay(graph);
+  issue_step(dev);
+  dev.end_replay();
+
+  // An extra allocation meets a kernel node.
+  dev.begin_replay(graph);
+  dev.launch(named_kernel("test.a", 720 * 1000), nullptr);
+  EXPECT_FALSE(dev.on_arena_alloc(512));
+  EXPECT_THROW(dev.on_arena_alloc(512), GraphError);
+  dev.abort_graph();
+
+  // A missing allocation: the next launch meets the allocation node.
+  dev.begin_replay(graph);
+  dev.launch(named_kernel("test.a", 720 * 1000), nullptr);
+  EXPECT_THROW(dev.launch(named_kernel("test.b", 2 * 720 * 1000), nullptr), GraphError);
+  dev.abort_graph();
+
+  // A different size is a different address set.
+  dev.begin_replay(graph);
+  dev.launch(named_kernel("test.a", 720 * 1000), nullptr);
+  EXPECT_THROW(dev.on_arena_alloc(1024), GraphError);
+  dev.abort_graph();
+
+  // An allocation past the end of the graph.
+  dev.begin_replay(graph);
+  issue_step(dev);
+  EXPECT_THROW(dev.on_arena_alloc(512), GraphError);
+  dev.abort_graph();
+}
+
+TEST(StepGraphTest, WalkChargesExactlyAsHostDrivenReplay) {
+  // Same capture, same faults (a spike on test.b); one device replays with
+  // the host issuing the step, the other walks.
+  FaultPlan plan;
+  plan.add(FaultPlan::kernel_spike(/*step=*/0, "test.b", /*factor=*/3.0));
+  FaultInjector fa(plan), fb(plan);
+  Device host(v100(), ExecMode::kModelOnly), walked(v100(), ExecMode::kModelOnly);
+  host.set_fault_injector(&fa);
+  walked.set_fault_injector(&fb);
+  host.set_record_timeline(true);
+  walked.set_record_timeline(true);
+  const StepGraph gh = capture_step(host);
+  const StepGraph gw = capture_step(walked);
+  fa.arm(0);
+  fb.arm(0);
+
+  for (int rep = 0; rep < 2; ++rep) {
+    host.begin_replay(gh);
+    issue_step(host);
+    host.end_replay();
+    walked.begin_replay(gw);
+    {
+      ScopedRange r(walked, "decode");
+      EXPECT_EQ(walked.walk_replay(), nullptr);
+    }
+    walked.end_replay();
+  }
+
+  EXPECT_EQ(host.clock_us(), walked.clock_us());
+  EXPECT_EQ(host.stats().launches, walked.stats().launches);
+  EXPECT_EQ(host.stats().replayed_launches, walked.stats().replayed_launches);
+  EXPECT_EQ(host.stats().bytes_moved, walked.stats().bytes_moved);
+  EXPECT_EQ(host.stats().busy_us, walked.stats().busy_us);
+  EXPECT_EQ(host.stats().overhead_us, walked.stats().overhead_us);
+  EXPECT_EQ(host.stats().graph_launch_us, walked.stats().graph_launch_us);
+  EXPECT_EQ(host.range_times(), walked.range_times());
+  for (const char* k : {"test.a", "test.b"}) {
+    EXPECT_EQ(host.per_kernel().at(k).launches, walked.per_kernel().at(k).launches);
+    EXPECT_EQ(host.per_kernel().at(k).time_us, walked.per_kernel().at(k).time_us);
+    EXPECT_EQ(host.per_kernel().at(k).exec_us, walked.per_kernel().at(k).exec_us);
+  }
+  EXPECT_EQ(fa.kernel_spikes(), 1);
+  EXPECT_EQ(fb.kernel_spikes(), 1);
+  const auto& hb = host.timeline().busy_spans();
+  const auto& wb = walked.timeline().busy_spans();
+  ASSERT_EQ(hb.size(), wb.size());
+  for (size_t i = 0; i < hb.size(); ++i) {
+    EXPECT_EQ(hb[i].begin_us, wb[i].begin_us);
+    EXPECT_EQ(hb[i].end_us, wb[i].end_us);
+  }
+  // Only the host-driven replays issued launches: 2 captured + 2 x 2.
+  EXPECT_EQ(host.host_launches(), 6);
+  EXPECT_EQ(walked.host_launches(), 2);
+}
+
+TEST(StepGraphTest, WalkStopsAtAFailedAllocation) {
+  FaultPlan plan;
+  plan.add(FaultPlan::alloc_fail(/*step=*/1, /*count=*/1, "decode"));
+  FaultInjector faults(plan);
+  Device dev(v100(), ExecMode::kModelOnly);
+  dev.set_fault_injector(&faults);
+  const StepGraph graph = capture_step(dev);
+  faults.arm(1);
+
+  const int64_t launches = dev.stats().launches;
+  dev.begin_replay(graph);
+  const GraphNode* failed = dev.walk_replay();
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->kind, GraphNode::Kind::kAlloc);
+  EXPECT_EQ(failed->alloc_bytes, 512);
+  // test.a ran before the allocation; test.b never did.
+  EXPECT_EQ(dev.stats().launches, launches + 1);
+  EXPECT_THROW(dev.end_replay(), GraphError);
+  dev.abort_graph();
+
+  // The fault fired once: the retried step walks to the end.
+  dev.begin_replay(graph);
+  EXPECT_EQ(dev.walk_replay(), nullptr);
+  dev.end_replay();
+  EXPECT_EQ(dev.stats().launches, launches + 3);
+}
+
+TEST(StepGraphTest, WalkRejectsCommNodes) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  dev.begin_capture();
+  dev.launch(bytes_kernel(720 * 1000), nullptr);
+  const double done = dev.enqueue_comm(20.0, "b0");
+  (void)dev.wait_comm_until(done, "sync");
+  const StepGraph graph = dev.end_capture();
+  ASSERT_TRUE(graph.valid);
+
+  const int64_t launches = dev.stats().launches;
+  dev.begin_replay(graph);
+  EXPECT_THROW(dev.walk_replay(), GraphError);
+  EXPECT_EQ(dev.stats().launches, launches) << "nothing is charged before the rejection";
+  dev.abort_graph();
+}
+
+TEST(StepGraphTest, WalkAfterResetAttributesIntoFreshStats) {
+  // The walk caches per-node stats slots; reset() clears the maps they
+  // point into, so the next walk must resolve them again.
+  Device dev(v100(), ExecMode::kModelOnly);
+  const StepGraph graph = capture_step(dev);
+  dev.begin_replay(graph);
+  ASSERT_EQ(dev.walk_replay(), nullptr);
+  dev.end_replay();
+  EXPECT_EQ(dev.per_kernel().at("test.a").launches, 2);
+
+  dev.reset();
+  EXPECT_TRUE(dev.per_kernel().empty());
+  dev.begin_replay(graph);
+  ASSERT_EQ(dev.walk_replay(), nullptr);
+  dev.end_replay();
+  EXPECT_EQ(dev.per_kernel().size(), 2u);
+  EXPECT_EQ(dev.per_kernel().at("test.a").launches, 1);
+  EXPECT_NEAR(dev.per_kernel().at("test.a").exec_us, 1.0, 1e-9);
+  EXPECT_EQ(dev.per_kernel().at("test.b").launches, 1);
+  EXPECT_NEAR(dev.per_kernel().at("test.b").exec_us, 2.0, 1e-9);
+  // The captured range gets the kernels' time; the graph launch itself
+  // was charged outside any range.
+  EXPECT_EQ(dev.range_times().size(), 1u);
+  EXPECT_NEAR(dev.range_time_us("decode"), 3.0, 1e-9);
+  EXPECT_EQ(dev.stats().launches, 2);
+  EXPECT_EQ(dev.stats().replayed_launches, 2);
 }
 
 }  // namespace
