@@ -26,7 +26,7 @@ VitPerf measure_vit(System system, const models::VitConfig& cfg, int64_t batch) 
     optim::OptimConfig ocfg;
     auto trainer = optim::make_trainer(system, model.params(), ocfg, session.param_alloc());
     data::ImageDataset ds(cfg.num_classes, 512, 21);
-    auto b = ds.batch(0, batch, cfg, DType::kF16);
+    auto b = ds.batch(0, batch, cfg, DType::kF16, sc.mode);
     const dist::ClusterConfig cluster{8, 1};
     (void)core::train_step(session, model, b, *trainer, cluster);
     const double t0 = session.device().clock_us();

@@ -36,11 +36,15 @@
 #                      claims), and (release only) fig_fault with its
 #                      schema check.
 #   --smoke fleet      Serving-fleet smoke lane: the suites the replayed
-#                      decode step must hold (router policies, hedged
-#                      retries, token-exact re-dispatch, rolling reload,
-#                      walked-vs-host-driven replay parity under faults;
-#                      heap allocations per replayed step and per eager
-#                      launch; graph replay discipline), and (release only)
+#                      decode step and the walked admission prefill must
+#                      hold (router policies, hedged retries, token-exact
+#                      re-dispatch, rolling reload, walked-vs-host-driven
+#                      replay and walked-vs-eager prefill parity under
+#                      faults, a failed prefill freeing its lane; heap
+#                      allocations per replayed step, per walked prefill
+#                      and per eager launch; graph replay discipline and
+#                      the device's eager walk, simgpu_test; the SLO
+#                      window's incremental merge, obs_test), and (release only)
 #                      fig_fleet with its schema check plus the perfbench
 #                      self-test on gpt2_serve_fleet (builds perfbench;
 #                      same-seed determinism of the walked decode path).
@@ -114,7 +118,7 @@ elif [ "$SMOKE" = fault ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R fault_tolerance_test
 elif [ "$SMOKE" = fleet ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error \
-    -R 'fleet_test|alloc_count_test|graph_replay_test'
+    -R 'fleet_test|alloc_count_test|graph_replay_test|simgpu_test|obs_test'
 elif [ "$SMOKE" = obs ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R 'obs_test|trace_test'
 elif [ "$SMOKE" = paged ]; then

@@ -209,14 +209,18 @@ ImageDataset::ImageDataset(int64_t classes, int64_t size, uint64_t seed)
     : classes_(classes), size_(size), rng_(seed) {}
 
 models::ImageBatch ImageDataset::batch(int64_t index, int64_t batch_size,
-                                       const models::VitConfig& cfg, DType dtype) const {
+                                       const models::VitConfig& cfg, DType dtype,
+                                       simgpu::ExecMode mode) const {
   const int64_t P = cfg.patches(), PD = cfg.patch_dim();
-  std::vector<float> patches(static_cast<size_t>(batch_size * P * PD));
+  const DType patch_dtype = dtype == DType::kF16 ? DType::kF16 : DType::kF32;
+  const bool pixels = mode == simgpu::ExecMode::kExecute;
+  std::vector<float> patches(pixels ? static_cast<size_t>(batch_size * P * PD) : 0);
   std::vector<float> labels(static_cast<size_t>(batch_size));
   for (int64_t b = 0; b < batch_size; ++b) {
     const uint64_t ex = static_cast<uint64_t>(index * batch_size + b);
     const int64_t cls = rng_.randint(1, ex, classes_);
     labels[static_cast<size_t>(b)] = static_cast<float>(cls);
+    if (!pixels) continue;
     // Class-dependent low-frequency structure + noise.
     for (int64_t p = 0; p < P; ++p) {
       const float mean = 0.3f * std::sin(0.7f * static_cast<float>(cls + 1) *
@@ -228,8 +232,9 @@ models::ImageBatch ImageDataset::batch(int64_t index, int64_t batch_size,
     }
   }
   models::ImageBatch batch;
-  batch.patches = Tensor::from_vector(
-      patches, {batch_size, P, PD}, dtype == DType::kF16 ? DType::kF16 : DType::kF32);
+  batch.patches = pixels ? Tensor::from_vector(patches, {batch_size, P, PD}, patch_dtype)
+                         : Tensor::empty({batch_size, P, PD}, patch_dtype,
+                                         uncommitted_allocator());
   batch.labels = Tensor::from_vector(labels, {batch_size}, DType::kI32);
   return batch;
 }

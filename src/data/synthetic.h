@@ -16,6 +16,7 @@
 #include "models/gpt2.h"
 #include "models/transformer.h"
 #include "models/vit.h"
+#include "simgpu/device.h"
 #include "tensor/random.h"
 
 namespace ls2::data {
@@ -84,8 +85,11 @@ class ClsDataset {
 class ImageDataset {
  public:
   ImageDataset(int64_t classes, int64_t size, uint64_t seed);
+  /// Outside kExecute no kernel body reads the pixels, so the patches are
+  /// backed by uncommitted memory and never drawn; the labels stay real.
   models::ImageBatch batch(int64_t index, int64_t batch_size, const models::VitConfig& cfg,
-                           DType dtype) const;
+                           DType dtype,
+                           simgpu::ExecMode mode = simgpu::ExecMode::kExecute) const;
 
  private:
   int64_t classes_, size_;

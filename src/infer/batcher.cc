@@ -18,6 +18,15 @@ int32_t synth_token(int64_t slot, int64_t generated, int64_t vocab) {
   return static_cast<int32_t>(3 + (slot * 131 + generated * 7) % std::max<int64_t>(vocab - 3, 1));
 }
 
+/// Abandons the capture or replay it guards if the step unwinds.
+struct GraphGuard {
+  simgpu::Device& dev;
+  bool active = false;
+  ~GraphGuard() {
+    if (active) dev.abort_graph();
+  }
+};
+
 }  // namespace
 
 ContinuousBatcher::ContinuousBatcher(core::Session& session, models::Gpt2& model,
@@ -27,10 +36,11 @@ ContinuousBatcher::ContinuousBatcher(core::Session& session, models::Gpt2& model
       cache_(&cache),
       cfg_(cfg),
       gen_(cfg.sampling),
-      queue_depth_gauge_(cfg_.metrics_prefix + ".queue_depth"),
-      resident_gauge_(cfg_.metrics_prefix + ".resident"),
-      page_occupancy_gauge_(cfg_.metrics_prefix + ".kv.page_occupancy"),
-      share_ratio_gauge_(cfg_.metrics_prefix + ".kv.share_ratio") {}
+      queue_depth_gauge_(session.metrics(), cfg_.metrics_prefix + ".queue_depth"),
+      resident_gauge_(session.metrics(), cfg_.metrics_prefix + ".resident"),
+      page_occupancy_gauge_(session.metrics(), cfg_.metrics_prefix + ".kv.page_occupancy"),
+      share_ratio_gauge_(session.metrics(), cfg_.metrics_prefix + ".kv.share_ratio"),
+      prefill_graphs_(static_cast<size_t>(cache.config().seq_tokens)) {}
 
 int32_t ContinuousBatcher::harvest_token(const Tensor& sampled, int64_t row, int64_t slot,
                                          int64_t generated) const {
@@ -76,11 +86,9 @@ void ContinuousBatcher::submit(Request r) {
 }
 
 bool ContinuousBatcher::admit(size_t r) {
-  auto& ctx = session_->ctx();
   auto& dev = session_->device();
   const Request& req = reqs_[r];
   const int64_t Lp = static_cast<int64_t>(req.prompt.size());
-  const int64_t V = model_->config().vocab;
   LS2_CHECK(Lp > 0 && Lp < cache_->config().seq_tokens)
       << "prompt must fit the cache with room to generate";
 
@@ -98,27 +106,22 @@ bool ContinuousBatcher::admit(size_t r) {
   // A preempted request re-admits with its generated tokens folded into the
   // continuation prompt: this residency's token count starts from here.
   const int64_t already = static_cast<int64_t>(st.tokens.size());
-
-  // Host-written metadata tensors stay heap-backed (real even in model-only
-  // sessions); activations inside prefill come from the session arena.
-  Tensor ids = Tensor::empty({1, Lp}, DType::kI32);
-  std::vector<float> host(req.prompt.begin(), req.prompt.end());
-  ids.copy_from(host);
   int32_t tok = 0;
-  {
+  try {
     obs::SpanScope range(dev, "serve.prefill");
-    Tensor logits = model_->prefill(ctx, ids, cache_, {h});  // [1, Lp, V]
-    Tensor last = logits.view({Lp, V}).slice(Lp - 1, Lp);  // next-token logits
-    Tensor first_tok = Tensor::zeros({1}, DType::kI32);
-    gen_.next_tokens(ctx.kern, ctx.policy.softmax, last, first_tok);
-    tok = harvest_token(first_tok, 0, lane, already);
-    st.tokens.push_back(tok);
-    if (st.first_token_us == 0) st.first_token_us = dev.clock_us();
-    ++report_.prefills;
-    ++report_.generated_tokens;
-    slots_[static_cast<size_t>(lane)] =
-        SlotState{static_cast<int64_t>(r), h, already + 1, already, tok};
+    tok = prefill(req.prompt, h, lane, already);
+  } catch (...) {
+    // A failed prefill (transient allocation fault, device loss) owns no
+    // slot yet: give its lane and pages back, or nothing would free them.
+    cache_->free(h);
+    throw;
   }
+  st.tokens.push_back(tok);
+  if (st.first_token_us == 0) st.first_token_us = dev.clock_us();
+  ++report_.prefills;
+  ++report_.generated_tokens;
+  slots_[static_cast<size_t>(lane)] =
+      SlotState{static_cast<int64_t>(r), h, already + 1, already, tok};
   const int32_t eos = req.spec.eos_id >= 0 ? req.spec.eos_id : cfg_.eos_id;
   const bool finished =
       static_cast<int64_t>(st.tokens.size()) >= req.spec.gen_len ||
@@ -133,6 +136,57 @@ bool ContinuousBatcher::admit(size_t r) {
     if (slo_) slo_->on_served(st.done_us, st.latency_us(), st.generated);
   }
   return true;
+}
+
+int32_t ContinuousBatcher::prefill(const std::vector<int32_t>& prompt, SequenceHandle h,
+                                   int64_t lane, int64_t generated) {
+  auto& ctx = session_->ctx();
+  auto& dev = session_->device();
+  const int64_t Lp = static_cast<int64_t>(prompt.size());
+  const int64_t V = model_->config().vocab;
+  // Model-only with an arena: nothing reads a prefill's outputs, and its
+  // launches and allocations depend on the prompt length alone. (A caching
+  // allocator's hits charge time no graph node records, so without an
+  // arena every prefill stays eager.)
+  PrefillGraph* memo = dev.mode() == simgpu::ExecMode::kModelOnly &&
+                               session_->graph_capture_supported()
+                           ? &prefill_graphs_[static_cast<size_t>(Lp)]
+                           : nullptr;
+  if (memo != nullptr && memo->graph.valid) {
+    // No tensor is live during the walk, so a failed allocation had none
+    // in use.
+    if (const simgpu::GraphNode* failed = dev.walk_eager(memo->graph))
+      throw mem::TransientAllocFailure(failed->alloc_bytes, /*in_use=*/0,
+                                       static_cast<int64_t>(session_->config().arena_bytes),
+                                       failed->range);
+    ctx.kern.dropout_site += memo->dropout_sites;
+    ++report_.walked_prefills;
+    return synth_token(lane, generated, V);
+  }
+
+  // Capture runs alongside the eager prefill, so it costs no simulated time.
+  const bool capture = memo != nullptr && memo->graph.id == 0;
+  GraphGuard guard{dev};
+  if (capture) {
+    dev.begin_capture();
+    guard.active = true;
+  }
+  const uint64_t sites_before = ctx.kern.dropout_site;
+  // Host-written metadata tensors stay heap-backed (real even in model-only
+  // sessions); activations inside prefill come from the session arena.
+  Tensor ids = Tensor::empty({1, Lp}, DType::kI32);
+  std::vector<float> host(prompt.begin(), prompt.end());
+  ids.copy_from(host);
+  Tensor logits = model_->prefill(ctx, ids, cache_, {h});  // [1, Lp, V]
+  Tensor last = logits.view({Lp, V}).slice(Lp - 1, Lp);  // next-token logits
+  Tensor first_tok = Tensor::zeros({1}, DType::kI32);
+  gen_.next_tokens(ctx.kern, ctx.policy.softmax, last, first_tok);
+  if (capture) {
+    memo->graph = dev.end_capture();
+    guard.active = false;
+    memo->dropout_sites = ctx.kern.dropout_site - sites_before;
+  }
+  return harvest_token(first_tok, 0, lane, generated);
 }
 
 void ContinuousBatcher::shed(size_t r, double now) {
@@ -164,7 +218,8 @@ void ContinuousBatcher::run_admissions() {
   std::vector<size_t> still;
   still.reserve(pending_.size());
   bool full = false;
-  for (size_t r : pending_) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const size_t r = pending_[i];
     if (stats_[r].shed || stats_[r].cancelled) continue;  // already resolved
     if (full) {
       still.push_back(r);
@@ -175,7 +230,18 @@ void ContinuousBatcher::run_admissions() {
       shed(r, now);
       continue;
     }
-    if (!admit(r)) {  // no lane or pages — the rest queue (or shed below)
+    bool admitted = false;
+    try {
+      admitted = admit(r);
+    } catch (...) {
+      // The failed request and everything behind it stay queued, in order;
+      // the ones admitted or shed before it are resolved.
+      still.insert(still.end(), pending_.begin() + static_cast<std::ptrdiff_t>(i),
+                   pending_.end());
+      pending_ = std::move(still);
+      throw;
+    }
+    if (!admitted) {  // no lane or pages — the rest queue (or shed below)
       full = true;
       still.push_back(r);
     }
@@ -295,13 +361,7 @@ void ContinuousBatcher::decode_once() {
     try {
       cache_->begin_decode();
       const core::GraphAction act = session_->begin_decode_step();
-      struct GraphGuard {
-        simgpu::Device& dev;
-        bool active = false;
-        ~GraphGuard() {
-          if (active) dev.abort_graph();
-        }
-      } guard{dev};
+      GraphGuard guard{dev};
       if (act == core::GraphAction::kCapture) {
         dev.begin_capture();
         guard.active = true;
@@ -393,13 +453,12 @@ bool ContinuousBatcher::step() {
     // The "live" part of the SLO monitors: rolling gauges refresh once per
     // engine step, while the workload is in flight.
     slo_->refresh(session_->device().clock_us());
-    obs::MetricsRegistry* m = session_->metrics();
-    m->gauge(queue_depth_gauge_) = static_cast<double>(queue_depth());
-    m->gauge(resident_gauge_) = static_cast<double>(resident());
+    queue_depth_gauge_.get() = static_cast<double>(queue_depth());
+    resident_gauge_.get() = static_cast<double>(resident());
     const KvCache::Stats& ks = cache_->stats();
-    m->gauge(page_occupancy_gauge_) = static_cast<double>(cache_->used_pages()) /
-                                      static_cast<double>(cache_->config().pool_pages());
-    m->gauge(share_ratio_gauge_) =
+    page_occupancy_gauge_.get() = static_cast<double>(cache_->used_pages()) /
+                                  static_cast<double>(cache_->config().pool_pages());
+    share_ratio_gauge_.get() =
         static_cast<double>(ks.shared_page_hits) /
         static_cast<double>(std::max<int64_t>(1, ks.shared_page_hits + ks.pages_allocated));
   }

@@ -6,8 +6,13 @@
 //
 //   [admissions]  arrived requests allocate a lane + pages (shared-prefix
 //                 pages reused); each prompt runs one eager prefill (B=1)
-//                 that writes its K/V and samples the first token — never
-//                 captured, shapes vary per prompt;
+//                 that writes its K/V and samples the first token — outside
+//                 the decode graph, shapes vary per prompt. In a model-only
+//                 session with an arena, the first prefill of each prompt
+//                 length is captured alongside its eager run, and later
+//                 ones of that length walk the captured graph with eager
+//                 charging (simgpu::Device::walk_eager) instead of
+//                 re-running the model;
 //   [extend]      every resident sequence backs its next append row
 //                 (KvCache::extend — page allocation and COW copies, all
 //                 outside the captured region); when the pool runs dry the
@@ -151,6 +156,9 @@ struct RequestStats {
 struct ServeReport {
   std::vector<RequestStats> requests;
   int64_t prefills = 0;
+  /// Model-only prefills charged by walking a per-length graph instead of
+  /// re-running the model (simulated numbers are the same either way).
+  int64_t walked_prefills = 0;
   int64_t decode_steps = 0;
   int64_t replayed_steps = 0;    ///< decode steps run as one graph launch
   int64_t generated_tokens = 0;
@@ -239,11 +247,27 @@ class ContinuousBatcher {
     int32_t next_token = 0;  ///< fed to the next decode step
   };
 
+  /// A model-only prefill memoized per prompt length (all of a B = 1
+  /// prefill's launches and arena allocations depend on the length only).
+  struct PrefillGraph {
+    /// Walked when valid; never captured while its id is 0; poisoned
+    /// (invalid with an id): the length stays eager.
+    simgpu::StepGraph graph;
+    /// KernelContext::dropout_site advance of the captured prefill.
+    uint64_t dropout_sites = 0;
+  };
+
   /// Try to claim a lane + pages for request `r`: prefill its prompt
   /// (eager; shared prefix pages skipped) and sample the next token. False
   /// when the cache can't place it (no lane or pages) — the caller treats
-  /// the batch as full.
+  /// the batch as full. A prefill that throws gives the lane and pages back
+  /// and leaves the request queued.
   bool admit(size_t r);
+  /// Prefill `prompt` into lane `lane` (sequence `h`) and return the first
+  /// token: eagerly (capturing the length's graph the first time, in a
+  /// model-only session with an arena), or by walking that graph.
+  int32_t prefill(const std::vector<int32_t>& prompt, SequenceHandle h, int64_t lane,
+                  int64_t generated);
   /// Reject request `r` (overload shed): it completes immediately with an
   /// error and no tokens.
   void shed(size_t r, double now);
@@ -286,9 +310,11 @@ class ContinuousBatcher {
   /// Live SLO telemetry (DESIGN.md §12); engaged by begin() iff the session
   /// carries a MetricsRegistry. Gauges refresh every step(), not at finish.
   std::optional<obs::SloMonitor> slo_;
-  /// Registry names of the per-step gauges, built once from the prefix.
-  std::string queue_depth_gauge_, resident_gauge_, page_occupancy_gauge_,
+  /// The per-step gauges, resolved once.
+  obs::MetricRef<double> queue_depth_gauge_, resident_gauge_, page_occupancy_gauge_,
       share_ratio_gauge_;
+  /// Memoized model-only prefills, indexed by prompt length.
+  std::vector<PrefillGraph> prefill_graphs_;
 };
 
 /// Poisson arrivals for benches/tests: `n` requests at `rate_per_sec`, with

@@ -51,7 +51,11 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
       rep.session->device().set_fault_injector(rep.injector.get());
     }
   }
-  if (obs::MetricsRegistry* m = metrics()) slo_.emplace(m, "fleet");
+  if (obs::MetricsRegistry* m = metrics()) {
+    slo_.emplace(m, "fleet");
+    live_replicas_gauge_ = obs::MetricRef<double>(m, "fleet.live_replicas");
+    inflight_gauge_ = obs::MetricRef<double>(m, "fleet.inflight");
+  }
 }
 
 obs::MetricsRegistry* Fleet::metrics() const {
@@ -246,8 +250,8 @@ void Fleet::handle_completions(int replica, double now) {
   if (slo_) {
     // Live rolling gauges, refreshed per completion drain — not at finalize.
     slo_->refresh(now);
-    metrics()->gauge("fleet.live_replicas") = static_cast<double>(live_replicas());
-    metrics()->gauge("fleet.inflight") = static_cast<double>(inflight_.size());
+    live_replicas_gauge_.get() = static_cast<double>(live_replicas());
+    inflight_gauge_.get() = static_cast<double>(inflight_.size());
   }
 }
 

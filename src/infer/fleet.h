@@ -241,6 +241,9 @@ class Fleet {
   /// per-replica monitors see only their own slice. Engaged when the
   /// session template carries a MetricsRegistry.
   std::optional<obs::SloMonitor> slo_;
+  /// Live gauges refreshed per completion drain, resolved once.
+  obs::MetricRef<double> live_replicas_gauge_{nullptr, "fleet.live_replicas"};
+  obs::MetricRef<double> inflight_gauge_{nullptr, "fleet.inflight"};
   /// The shared registry (via any replica's session), or null.
   obs::MetricsRegistry* metrics() const;
 };

@@ -262,6 +262,7 @@ std::string MetricsRegistry::to_prometheus() const {
 }
 
 void MetricsRegistry::clear() {
+  ++generation_;
   counters_.clear();
   gauges_.clear();
   histograms_.clear();

@@ -20,6 +20,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ls2::obs {
@@ -98,7 +100,7 @@ class MetricsRegistry {
   using NameMap = std::map<std::string, V, std::less<>>;
 
   /// Counter: monotonically increasing int64. The returned reference is
-  /// stable for the registry's lifetime — cache it on hot paths.
+  /// stable until clear() — hot paths cache it through a MetricRef.
   int64_t& counter(std::string_view name);
   /// Gauge: a settable double (current value of something).
   double& gauge(std::string_view name);
@@ -129,13 +131,49 @@ class MetricsRegistry {
   /// [a-zA-Z0-9_]; registry labels become series labels.
   std::string to_prometheus() const;
 
+  /// Drop every metric and label. References handed out before are
+  /// invalidated; MetricRef notices through generation() and re-resolves.
   void clear();
+  /// Incremented by every clear().
+  uint64_t generation() const { return generation_; }
 
  private:
+  uint64_t generation_ = 0;
   NameMap<int64_t> counters_;
   NameMap<double> gauges_;
   NameMap<Histogram> histograms_;
   NameMap<std::string> labels_;
+};
+
+/// A registry metric resolved once: the first get() looks the name up (so,
+/// like a direct lookup, the metric appears in the registry only once it is
+/// used) and later calls reuse the reference, until the registry is
+/// cleared. V selects the family: int64_t a counter, double a gauge,
+/// Histogram a histogram with the default config.
+template <typename V>
+class MetricRef {
+ public:
+  MetricRef(MetricsRegistry* reg, std::string name) : reg_(reg), name_(std::move(name)) {}
+
+  V& get() {
+    if (slot_ == nullptr || generation_ != reg_->generation()) {
+      if constexpr (std::is_same_v<V, int64_t>) {
+        slot_ = &reg_->counter(name_);
+      } else if constexpr (std::is_same_v<V, double>) {
+        slot_ = &reg_->gauge(name_);
+      } else {
+        slot_ = &reg_->histogram(name_);
+      }
+      generation_ = reg_->generation();
+    }
+    return *slot_;
+  }
+
+ private:
+  MetricsRegistry* reg_;
+  std::string name_;
+  V* slot_ = nullptr;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace ls2::obs

@@ -9,11 +9,14 @@
 // time, not host time), each holding a coarse streaming histogram plus
 // served/shed/token tallies. Events are O(1): locate the slice, record.
 // refresh() — called by the batcher once per decode round and by the fleet
-// per completion scan — merges the live slices and publishes the rolling
-// gauges into the owning MetricsRegistry under the monitor's prefix. The
-// merge is cached: it is redone only when an event arrived or the window
-// moved to a new slice since the last refresh, so a refresh with nothing
-// new costs O(1) plus the gauge stores:
+// per completion scan — publishes the rolling gauges into the owning
+// MetricsRegistry under the monitor's prefix. The merged window is kept
+// incrementally: an event inside it is also recorded straight into the
+// merged histogram and tallies, so an event stays O(1), and the slices are
+// re-merged only when the window moves to a new slice (one ages out) or an
+// out-of-order event recycles a slot the window still covers. A refresh
+// after events re-reads the quantiles; one with nothing new costs O(1)
+// plus the gauge stores:
 //
 //   <prefix>.slo.p50_us / .p99_us      rolling latency quantiles
 //   <prefix>.slo.tokens_per_s          decode throughput over the window
@@ -76,9 +79,19 @@ class SloMonitor {
     int64_t tokens = 0;
   };
 
-  Slice& slice_at(double now_us);
+  /// The slice for an event at `now_us` (recycling its slot if the slot
+  /// held an older slice). Returns whether the event lands in the merged
+  /// window, which the caller then updates too.
+  bool slice_at(double now_us, Slice*& slice);
+  /// True when absolute slice `index` is one the merged window covers.
+  bool in_window(int64_t index) const {
+    return index >= 0 && merged_index_ >= 0 && index > merged_index_ - cfg_.slices &&
+           index <= merged_index_;
+  }
   /// Merge the slices live at slice `now_index` into the window state.
   void merge_window(int64_t now_index);
+  /// Window quantiles and availability from the merged state.
+  void read_window();
 
   MetricsRegistry* reg_;
   std::string prefix_;
@@ -87,17 +100,20 @@ class SloMonitor {
   std::vector<Slice> ring_;
   double origin_us_ = -1;  ///< first event time, for early-window throughput
 
-  // Registry names, built once.
-  std::string served_total_, tokens_total_, shed_total_, latency_;
-  std::string p50_gauge_, p99_gauge_, tokens_per_s_gauge_, availability_gauge_,
+  // Registry metrics, resolved on first use.
+  MetricRef<int64_t> served_total_, tokens_total_, shed_total_;
+  MetricRef<Histogram> latency_;
+  MetricRef<double> p50_gauge_, p99_gauge_, tokens_per_s_gauge_, availability_gauge_,
       shed_rate_gauge_;
 
-  // The merged window, valid for slice `merged_index_` until an event
-  // arrives (`dirty_`).
+  // The merged window over the slices up to `merged_index_`, with its
+  // tallies. `stale_`: a slot it covers was recycled, so it must be
+  // re-merged; `changed_`: an event was added since refresh() last read it.
   Histogram merged_;
   int64_t merged_index_ = -1;
-  bool dirty_ = true;
-  int64_t window_tokens_ = 0;
+  bool stale_ = false;
+  bool changed_ = false;
+  int64_t merged_served_ = 0, merged_shed_ = 0, merged_tokens_ = 0;
 
   double p50_us_ = 0, p99_us_ = 0, tokens_per_s_ = 0;
   double availability_ = 1.0, shed_rate_ = 0;

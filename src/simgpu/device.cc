@@ -55,34 +55,18 @@ void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
     const GraphNode& node = consume_node(GraphNode::Kind::kKernel, &desc);
     attribute(charge_replayed(desc, node.exec_us, per_kernel_[desc.name]));
   } else {
-    KernelStats& ks = per_kernel_[desc.name];
-    count_launch(desc, ks);
     // The spike multiplier is charged live but the CAPTURE records the clean
     // execution time: a transient stall on the capture step must not get
     // baked into every future replay.
     const double base_exec = kernel_time_us(desc);
-    const double exec =
-        fault_ != nullptr ? base_exec * fault_->on_kernel(desc.name) : base_exec;
-    stats_.busy_us += exec;
-    // Launch gap: the GPU is idle while the host dispatches the kernel.
-    const double overhead = profile_.launch_overhead_us;
-    stats_.overhead_us += overhead;
-    stats_.launch_gap_us += overhead;
-    ks.time_us += overhead + exec;
-    ks.exec_us += exec;
-    ks.tensor_core = desc.tensor_core;
-    clock_us_ += overhead;
-    const double busy_begin = clock_us_;
-    clock_us_ += exec;
-    if (record_timeline_) timeline_.record_busy(busy_begin, clock_us_);
-    attribute(overhead + exec);
+    attribute(charge_eager(desc, base_exec, per_kernel_[desc.name]));
     if (graph_phase_ == GraphPhase::kCapture) {
       GraphNode node;
       node.kind = GraphNode::Kind::kKernel;
       node.desc = desc;
       node.exec_us = base_exec;
       node.range = current_range();
-      capture_.nodes.push_back(std::move(node));
+      capture_node(std::move(node));
       capture_.kernel_launches += 1;
       capture_.kernel_exec_us += base_exec;
     }
@@ -99,6 +83,25 @@ void Device::count_launch(const KernelDesc& desc, KernelStats& ks) {
   ks.launches += 1;
   ks.bytes += bytes;
   ks.flops += desc.flops;
+}
+
+double Device::charge_eager(const KernelDesc& desc, double base_exec, KernelStats& ks) {
+  count_launch(desc, ks);
+  const double exec =
+      fault_ != nullptr ? base_exec * fault_->on_kernel(desc.name) : base_exec;
+  stats_.busy_us += exec;
+  // Launch gap: the GPU is idle while the host dispatches the kernel.
+  const double overhead = profile_.launch_overhead_us;
+  stats_.overhead_us += overhead;
+  stats_.launch_gap_us += overhead;
+  ks.time_us += overhead + exec;
+  ks.exec_us += exec;
+  ks.tensor_core = desc.tensor_core;
+  clock_us_ += overhead;
+  const double busy_begin = clock_us_;
+  clock_us_ += exec;
+  if (record_timeline_) timeline_.record_busy(busy_begin, clock_us_);
+  return overhead + exec;
 }
 
 double Device::charge_replayed(const KernelDesc& desc, double exec_us, KernelStats& ks) {
@@ -145,7 +148,7 @@ double Device::enqueue_comm(double us, const std::string& attribution) {
     GraphNode node;
     node.kind = GraphNode::Kind::kCommEnqueue;
     node.comm_us = us;
-    capture_.nodes.push_back(std::move(node));
+    capture_node(std::move(node));
   } else if (graph_phase_ == GraphPhase::kReplay) {
     // The transfer is a graph node, but its begin/completion times are
     // recomputed below from the live clocks (replay-time parameters).
@@ -200,7 +203,7 @@ double Device::wait_comm_until(double t_us, const std::string& attribution) {
   if (graph_phase_ == GraphPhase::kCapture) {
     GraphNode node;
     node.kind = GraphNode::Kind::kCommWait;
-    capture_.nodes.push_back(std::move(node));
+    capture_node(std::move(node));
   } else if (graph_phase_ == GraphPhase::kReplay) {
     // A stream-wait edge: the edge is part of the graph, the timestamp it
     // resolves to is not — the exposed wait is recomputed every replay.
@@ -246,7 +249,7 @@ bool Device::on_arena_alloc(int64_t bytes) {
     node.kind = GraphNode::Kind::kAlloc;
     node.alloc_bytes = bytes;
     node.range = current_range();
-    capture_.nodes.push_back(std::move(node));
+    capture_node(std::move(node));
   } else if (graph_phase_ == GraphPhase::kReplay) {
     const GraphNode& node = consume_node(GraphNode::Kind::kAlloc, nullptr);
     if (node.alloc_bytes != bytes)
@@ -311,14 +314,39 @@ void Device::begin_capture() {
   LS2_CHECK(graph_phase_ == GraphPhase::kNone)
       << "begin_capture while a capture or replay is in progress";
   capture_ = StepGraph{};
+  capture_ops_.clear();
   capture_poisoned_ = false;
   graph_phase_ = GraphPhase::kCapture;
+}
+
+size_t Device::GraphNodeHash::operator()(const GraphNode& n) const {
+  const std::hash<double> hd;
+  const std::hash<int64_t> hi;
+  size_t h = std::hash<std::string>()(n.desc.name);
+  auto mix = [&h](size_t v) { h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2); };
+  mix(static_cast<size_t>(n.kind));
+  mix(hi(n.desc.bytes_read));
+  mix(hi(n.desc.bytes_written));
+  mix(hd(n.desc.flops));
+  mix(hd(n.exec_us));
+  mix(hd(n.comm_us));
+  mix(hi(n.alloc_bytes));
+  mix(std::hash<std::string>()(n.range));
+  return h;
+}
+
+void Device::capture_node(GraphNode node) {
+  auto [it, inserted] =
+      capture_ops_.try_emplace(std::move(node), static_cast<uint32_t>(capture_.ops.size()));
+  if (inserted) capture_.ops.push_back(it->first);
+  capture_.order.push_back(it->second);
 }
 
 StepGraph Device::end_capture() {
   LS2_CHECK(graph_phase_ == GraphPhase::kCapture) << "end_capture without capture";
   static std::atomic<uint64_t> next_graph_id{1};
   graph_phase_ = GraphPhase::kNone;
+  capture_ops_.clear();
   capture_.valid = !capture_poisoned_;
   capture_.id = next_graph_id.fetch_add(1, std::memory_order_relaxed);
   return std::move(capture_);
@@ -350,9 +378,9 @@ void Device::begin_replay(const StepGraph& graph) {
 
 void Device::end_replay() {
   LS2_CHECK(graph_phase_ == GraphPhase::kReplay) << "end_replay without replay";
-  if (replay_cursor_ != replay_->nodes.size())
+  if (replay_cursor_ != replay_->size())
     throw GraphError("replay consumed " + std::to_string(replay_cursor_) +
-                     " of " + std::to_string(replay_->nodes.size()) +
+                     " of " + std::to_string(replay_->size()) +
                      " graph nodes — the replayed step diverged from the capture");
   graph_phase_ = GraphPhase::kNone;
   replay_ = nullptr;
@@ -361,31 +389,53 @@ void Device::end_replay() {
 
 const GraphNode* Device::walk_replay() {
   LS2_CHECK(graph_phase_ == GraphPhase::kReplay) << "walk_replay without begin_replay";
-  const std::vector<GraphNode>& nodes = replay_->nodes;
-  if (replay_->id == 0 || replay_->id != walk_graph_id_) {
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i].kind == GraphNode::Kind::kCommEnqueue ||
-          nodes[i].kind == GraphNode::Kind::kCommWait)
-        throw GraphError("walk_replay: graph node " + std::to_string(i) +
+  return walk(*replay_, replay_cursor_, /*eager=*/false);
+}
+
+const GraphNode* Device::walk_eager(const StepGraph& graph) {
+  LS2_CHECK(graph_phase_ == GraphPhase::kNone)
+      << "walk_eager while a capture or replay is in progress";
+  if (!graph.valid)
+    throw GraphError("walk_eager on an invalid (poisoned) graph: " + graph.poison_reason);
+  size_t cursor = 0;
+  return walk(graph, cursor, /*eager=*/true);
+}
+
+std::vector<Device::WalkSlot>& Device::walk_slots(const StepGraph& graph) {
+  if (graph.id == 0) walk_slots_.erase(0);  // never captured: nothing to key on
+  auto [it, created] = walk_slots_.try_emplace(graph.id);
+  if (created) {
+    for (size_t i = 0; i < graph.size(); ++i) {
+      const GraphNode::Kind kind = graph.node(i).kind;
+      if (kind == GraphNode::Kind::kCommEnqueue || kind == GraphNode::Kind::kCommWait) {
+        walk_slots_.erase(it);
+        throw GraphError("walk: graph node " + std::to_string(i) +
                          " is a comm operation — a graph with comm nodes must be "
                          "replayed host-driven");
+      }
     }
-    walk_slots_.assign(nodes.size(), WalkSlot{});
-    walk_graph_id_ = replay_->id;
+    it->second.assign(graph.ops.size(), WalkSlot{});
   }
-  while (replay_cursor_ < nodes.size()) {
-    const size_t i = replay_cursor_++;
-    const GraphNode& node = nodes[i];
+  return it->second;
+}
+
+const GraphNode* Device::walk(const StepGraph& graph, size_t& cursor, bool eager) {
+  std::vector<WalkSlot>& slots = walk_slots(graph);
+  while (cursor < graph.order.size()) {
+    const uint32_t op = graph.order[cursor++];
+    const GraphNode& node = graph.ops[op];
     if (node.kind == GraphNode::Kind::kAlloc) {
       if (alloc_fault(node.range)) return &node;
       continue;
     }
-    WalkSlot& slot = walk_slots_[i];
+    WalkSlot& slot = slots[op];
     if (slot.kernel == nullptr) slot.kernel = &per_kernel_[node.desc.name];
-    const double exec = charge_replayed(node.desc, node.exec_us, *slot.kernel);
+    ++walked_launches_;
+    const double charged = eager ? charge_eager(node.desc, node.exec_us, *slot.kernel)
+                                 : charge_replayed(node.desc, node.exec_us, *slot.kernel);
     if (!node.range.empty()) {
       if (slot.range == nullptr) slot.range = &range_times_[node.range];
-      *slot.range += exec;
+      *slot.range += charged;
     }
   }
   return nullptr;
@@ -396,6 +446,7 @@ void Device::abort_graph() noexcept {
   replay_ = nullptr;
   replay_cursor_ = 0;
   capture_ = StepGraph{};
+  capture_ops_.clear();
   capture_poisoned_ = false;
 }
 
@@ -412,11 +463,11 @@ const char* node_kind_name(GraphNode::Kind kind) {
 }  // namespace
 
 const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* desc) {
-  if (replay_cursor_ >= replay_->nodes.size())
+  if (replay_cursor_ >= replay_->size())
     throw GraphError("replayed step issued more operations than the captured graph (" +
-                     std::to_string(replay_->nodes.size()) + " nodes): extra " +
+                     std::to_string(replay_->size()) + " nodes): extra " +
                      node_kind_name(kind));
-  const GraphNode& node = replay_->nodes[replay_cursor_++];
+  const GraphNode& node = replay_->node(replay_cursor_++);
   if (node.kind != kind)
     throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) + " is " +
                      node_kind_name(node.kind) + " but the replayed step issued " +
@@ -456,8 +507,8 @@ void Device::reset() {
   range_times_.clear();
   for (RangeFrame& f : range_stack_) f.slot = nullptr;
   walk_slots_.clear();
-  walk_graph_id_ = 0;
   host_launches_ = 0;
+  walked_launches_ = 0;
   timeline_.clear();
   abort_graph();
 }

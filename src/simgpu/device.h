@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -55,6 +56,8 @@ struct KernelDesc {
   double mem_efficiency = 0.80;      ///< achieved fraction of peak bandwidth
   double compute_efficiency = 0.70;  ///< achieved fraction of peak FLOPs
   bool tensor_core = false;  ///< true => use fp16 tensor-core peak (GEMM)
+
+  bool operator==(const KernelDesc&) const = default;
 };
 
 struct KernelStats {
@@ -89,7 +92,7 @@ struct DeviceStats {
   double graph_launch_us = 0;      ///< whole-graph dispatch overhead charged
 };
 
-/// One recorded operation of a captured step graph.
+/// One distinct operation of a captured step graph.
 struct GraphNode {
   enum class Kind { kKernel, kCommEnqueue, kCommWait, kAlloc };
   Kind kind = Kind::kKernel;
@@ -104,6 +107,8 @@ struct GraphNode {
   /// kernel's time lands, and the site a walked allocation's fault check
   /// matches against.
   std::string range;
+
+  bool operator==(const GraphNode&) const = default;
 };
 
 /// An immutable recording of one steady-state step's device work, produced
@@ -114,15 +119,26 @@ struct GraphNode {
 /// times* are recomputed at each replay from the live comm clock (they are
 /// replay-time parameters, which is what lets the pipelined per-bucket
 /// update compose with replay).
+///
+/// Storage is compact: each distinct operation is stored once in `ops`, and
+/// the recorded sequence is `order`, a list of indices into it. A model's
+/// blocks repeat the same launches and allocations: a GPT-2 base prefill
+/// records 466 nodes but only 24 distinct operations.
 struct StepGraph {
-  std::vector<GraphNode> nodes;
+  std::vector<GraphNode> ops;    ///< distinct operations
+  std::vector<uint32_t> order;   ///< the recorded sequence, as indices into ops
   int64_t kernel_launches = 0;  ///< number of kKernel nodes
   double kernel_exec_us = 0;    ///< sum of their execution times
   bool valid = false;           ///< false until end_capture, or when poisoned
   std::string poison_reason;    ///< why capture failed (first offense)
   /// Unique per end_capture in the process (0: never captured) — the key
-  /// under which Device::walk_replay caches its resolved stats slots.
+  /// under which a device caches the stats slots its walks resolve.
   uint64_t id = 0;
+
+  /// Number of recorded nodes.
+  size_t size() const { return order.size(); }
+  /// The i-th recorded node.
+  const GraphNode& node(size_t i) const { return ops[order[i]]; }
 };
 
 /// Non-owning reference to a kernel body: a pointer to the caller's
@@ -253,6 +269,16 @@ class Device {
   //    kernel node exactly as a host-driven replayed launch (stats,
   //    per-kernel stats, fault hooks, timeline, range time) and runs the
   //    allocation-fault check at each kAlloc node.
+  //
+  // A captured graph can also stand in for eager work: walk_eager charges
+  // every node exactly as the eager launch() it recorded (launch gap
+  // included, no graph-launch overhead, no replay stats). That memoizes a
+  // model-only step whose launches depend only on its shape — an admission
+  // prefill, keyed by prompt length — without changing a simulated number.
+  //
+  // Both walks resolve a kernel node's per_kernel() and range_times()
+  // entries once per (graph, reset()), keyed by StepGraph::id, so walks of
+  // several graphs can alternate without re-resolving.
 
   void begin_capture();
   /// Finish capture; the result is valid unless capture was poisoned.
@@ -273,6 +299,15 @@ class Device {
   /// replay-time parameters of the host's comm schedule. Stats slots are
   /// resolved once per (graph, reset()).
   const GraphNode* walk_replay();
+  /// Charge every node of `graph` (valid, no comm nodes) exactly as the
+  /// eager launch() calls it recorded: count, fault hooks, launch gap,
+  /// busy time, per-kernel time, timeline and range time, in launch()'s
+  /// arithmetic order; a kernel's time goes to the range recorded at
+  /// capture. No host launch, no replay stats. Runs the allocation-fault
+  /// check at each kAlloc node and returns the node whose injected fault
+  /// failed it (the walk stops after it), or nullptr. Only outside a
+  /// capture or replay.
+  const GraphNode* walk_eager(const StepGraph& graph);
   /// Abandon any capture/replay in progress without validation — for
   /// unwinding after an exception mid-step. Never throws.
   void abort_graph() noexcept;
@@ -314,6 +349,10 @@ class Device {
   /// launch() calls since construction or reset(): the kernels the host
   /// issued, as opposed to the ones a walk charged.
   int64_t host_launches() const { return host_launches_; }
+  /// Kernel nodes walk_replay and walk_eager charged since construction or
+  /// reset(), including one a fault hook failed: together with
+  /// host_launches() this is every kernel the device was asked to run.
+  int64_t walked_launches() const { return walked_launches_; }
   const std::map<std::string, KernelStats>& per_kernel() const { return per_kernel_; }
 
   /// Time attributed to a named range across all launches so far.
@@ -348,10 +387,20 @@ class Device {
   void attribute(double us);
   /// Count one kernel execution in the device and per-family stats.
   void count_launch(const KernelDesc& desc, KernelStats& ks);
+  /// Charge one eager kernel execution, shared by launch() and walk_eager:
+  /// faults apply on top of the clean `base_exec`, plus the launch gap.
+  /// Returns the time charged, which the caller attributes to a range.
+  double charge_eager(const KernelDesc& desc, double base_exec, KernelStats& ks);
   /// Charge one replayed kernel node, shared by host-driven replay and the
   /// walk: faults apply on top of the captured `exec_us`. Returns the time
   /// charged, which the caller attributes to a range.
   double charge_replayed(const KernelDesc& desc, double exec_us, KernelStats& ks);
+  /// Shared walk loop: charge `graph`'s nodes from `cursor` on (eagerly or
+  /// as replayed), advancing `cursor`; returns a failed kAlloc node or
+  /// nullptr at the end.
+  const GraphNode* walk(const StepGraph& graph, size_t& cursor, bool eager);
+  /// Record one node into the capture, storing its operation once.
+  void capture_node(GraphNode node);
   /// True when an armed allocation fault matching `range` fails this one.
   bool alloc_fault(const std::string& range);
   /// Replay-side node matching: checks the next node has `kind` (and, for
@@ -380,15 +429,24 @@ class Device {
     double* slot = nullptr;
   };
   std::vector<RangeFrame> range_stack_;
-  /// walk_replay's per-node stats slots for graph walk_graph_id_, filled
-  /// the first time each node is charged; reset() drops them.
+  /// capture_'s distinct operations -> their index in capture_.ops.
+  struct GraphNodeHash {
+    size_t operator()(const GraphNode& n) const;
+  };
+  std::unordered_map<GraphNode, uint32_t, GraphNodeHash> capture_ops_;
+  /// A walk's stats slots for one graph, one per operation, filled the
+  /// first time the operation is charged; reset() drops them.
   struct WalkSlot {
     KernelStats* kernel = nullptr;
     double* range = nullptr;
   };
-  std::vector<WalkSlot> walk_slots_;
-  uint64_t walk_graph_id_ = 0;
+  /// Slots per walked graph id (checked free of comm nodes when created).
+  std::unordered_map<uint64_t, std::vector<WalkSlot>> walk_slots_;
+  /// The slots of `graph`, created (after the comm-node check) on its first
+  /// walk since reset().
+  std::vector<WalkSlot>& walk_slots(const StepGraph& graph);
   int64_t host_launches_ = 0;
+  int64_t walked_launches_ = 0;
   Timeline timeline_;
   bool record_timeline_ = false;
   FaultInjector* fault_ = nullptr;  ///< not owned; null = fault-free

@@ -156,6 +156,21 @@ TEST(ImageDatasetTest, ShapesAndClassSignal) {
   EXPECT_EQ(b16.patches.dtype(), DType::kF16);
 }
 
+TEST(ImageDatasetTest, ModelOnlyBatchesDrawNoPixelsButKeepTheLabels) {
+  models::VitConfig cfg;
+  cfg.image = 64;
+  cfg.patch = 16;
+  ImageDataset ds(4, 256, 3);
+  const auto real = ds.batch(2, 8, cfg, DType::kF16);
+  const auto shape_only = ds.batch(2, 8, cfg, DType::kF16, simgpu::ExecMode::kModelOnly);
+  EXPECT_TRUE(real.patches.backs_real_memory());
+  EXPECT_FALSE(shape_only.patches.backs_real_memory());
+  EXPECT_EQ(shape_only.patches.shape(), real.patches.shape());
+  EXPECT_EQ(shape_only.patches.dtype(), DType::kF16);
+  EXPECT_TRUE(shape_only.labels.backs_real_memory());
+  EXPECT_EQ(shape_only.labels.to_vector(), real.labels.to_vector());
+}
+
 TEST(PadLengthTest, PolicyPadding) {
   EXPECT_EQ(layers::pad_length(layers::policy_for(layers::System::kDeepSpeed), 33), 48);
   EXPECT_EQ(layers::pad_length(layers::policy_for(layers::System::kDeepSpeed), 48), 48);

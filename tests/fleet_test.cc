@@ -18,7 +18,9 @@
 //     heartbeat watcher (SessionConfig-driven intervals).
 //  7. WALKED REPLAY PARITY — a model-only replica that walks its captured
 //     decode graph charges exactly what a host-driven (execute-mode) replay
-//     charges, faults included.
+//     charges, and one that walks its per-length prefill graphs charges
+//     exactly what eager prefills charge, faults included; a failed
+//     admission prefill gives its lane back.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -492,44 +494,37 @@ void expect_same_device(const simgpu::Device& a, const simgpu::Device& b, int re
     EXPECT_EQ(ia->second.tensor_core, ib->second.tensor_core);
   }
   EXPECT_EQ(a.range_times(), b.range_times());
+  const auto& ta = a.timeline().busy_spans();
+  const auto& tb = b.timeline().busy_spans();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].begin_us, tb[i].begin_us) << "busy span " << i;
+    EXPECT_EQ(ta[i].end_us, tb[i].end_us) << "busy span " << i;
+  }
 }
 
-TEST(FleetTest, WalkedModelOnlyReplayMatchesHostDrivenReplayUnderFaults) {
-  // A model-only replica walks its captured decode graph; an execute-mode
-  // replica re-runs the model and checks each launch and allocation against
-  // the graph. Both must charge the same device work, and the faults must
-  // land on the same operations of replayed steps: an allocation failure
-  // inside the decode span (retried), a kernel spike, and a device loss
-  // (re-dispatched). Sampled tokens differ (model-only runs synthesize
-  // them), so only timings and counts are compared.
-  const auto reqs = infer::poisson_requests(16, /*rate=*/20000.0, 3, 9, 20, 30,
-                                            fleet_gpt2().vocab, 5);
-  auto run = [&](simgpu::ExecMode mode) {
-    infer::FleetConfig fc = fleet_config(2, mode, DType::kF16);
-    fc.session.graph_capture = true;
-    fc.fault_plans.resize(2);
-    fc.fault_plans[0]
-        .add(FaultPlan::alloc_fail(/*step=*/10, /*count=*/1, "serve.decode"))
-        .add(FaultPlan::kernel_spike(/*step=*/12, "", /*factor=*/8.0))
-        .add(FaultPlan::device_loss(/*step=*/14, /*rank=*/0));
-    auto fleet = std::make_unique<infer::Fleet>(fc);
-    infer::FleetReport rep = fleet->run(reqs);
-    return std::pair{std::move(fleet), std::move(rep)};
-  };
-  const auto [walked_fleet, walked] = run(simgpu::ExecMode::kModelOnly);
-  const auto [host_fleet, host] = run(simgpu::ExecMode::kExecute);
+/// Serves `reqs` on a two-replica FP16 fleet with graph capture on, with
+/// `plans` as the replicas' fault plans.
+std::pair<std::unique_ptr<infer::Fleet>, infer::FleetReport> run_faulted_fleet(
+    simgpu::ExecMode mode, const std::vector<infer::Request>& reqs,
+    std::vector<FaultPlan> plans, int64_t page_tokens = 0) {
+  infer::FleetConfig fc = fleet_config(2, mode, DType::kF16);
+  fc.session.graph_capture = true;
+  fc.record_timeline = true;
+  fc.page_tokens = page_tokens;
+  fc.prefix_sharing = page_tokens > 0;
+  fc.fault_plans = std::move(plans);
+  auto fleet = std::make_unique<infer::Fleet>(fc);
+  infer::FleetReport rep = fleet->run(reqs);
+  return {std::move(fleet), std::move(rep)};
+}
 
-  // The faults hit replayed steps: replica 0 captured at step 1, retried
-  // step 10, and died at step 14.
-  ASSERT_EQ(walked.replica_reports.size(), 2u);
-  const infer::ServeReport& r0 = walked.replica_reports[0];
-  EXPECT_EQ(r0.decode_steps, 14);
-  EXPECT_EQ(r0.replayed_steps, 12);
-  EXPECT_EQ(r0.decode_retries, 1);
-  EXPECT_EQ(walked.deaths, 1);
-  EXPECT_GE(walked.redispatches, 1);
-  EXPECT_EQ(walked.served, static_cast<int64_t>(reqs.size()));
-
+/// A model-only fleet (walked decode replays and prefills) against an
+/// execute-mode one (host-driven replays, eager prefills): the same device
+/// work, timings and per-request story. Sampled tokens differ (model-only
+/// runs synthesize them), so only timings and counts are compared.
+void expect_same_fleet_runs(const infer::Fleet& walked_fleet, const infer::FleetReport& walked,
+                            const infer::Fleet& host_fleet, const infer::FleetReport& host) {
   EXPECT_EQ(walked.decode_steps, host.decode_steps);
   EXPECT_EQ(walked.replayed_steps, host.replayed_steps);
   EXPECT_EQ(walked.decode_retries, host.decode_retries);
@@ -562,17 +557,113 @@ TEST(FleetTest, WalkedModelOnlyReplayMatchesHostDrivenReplayUnderFaults) {
     EXPECT_EQ(a.replayed_steps, b.replayed_steps);
     EXPECT_EQ(a.decode_retries, b.decode_retries);
     EXPECT_EQ(a.prefills, b.prefills);
+    EXPECT_EQ(a.shared_page_hits, b.shared_page_hits);
     EXPECT_EQ(a.makespan_us, b.makespan_us);
-    expect_same_device(walked_fleet->device(r), host_fleet->device(r), r);
+    EXPECT_EQ(b.walked_prefills, 0) << "execute mode never walks a prefill";
+    expect_same_device(walked_fleet.device(r), host_fleet.device(r), r);
+    // Every kernel one run charged, the other launched from the host: the
+    // model-only replicas walked their replayed decode kernels and their
+    // memoized prefills (a launch a fault hook failed counts on both sides).
+    EXPECT_EQ(walked_fleet.device(r).host_launches() + walked_fleet.device(r).walked_launches(),
+              host_fleet.device(r).host_launches())
+        << "replica " << r;
+    EXPECT_EQ(host_fleet.device(r).walked_launches(), 0);
   }
-  // The model-only replicas really walked: none of their replayed kernels
-  // was launched from the host. (Replica 0's host-driven run also issued
-  // the launch that lost the device, which never executed.)
-  for (int r = 0; r < 2; ++r) {
-    const int64_t lost_launch = r == 0 ? 1 : 0;
-    EXPECT_EQ(walked_fleet->device(r).host_launches(),
-              host_fleet->device(r).host_launches() -
-                  host_fleet->device(r).stats().replayed_launches - lost_launch);
+}
+
+TEST(FleetTest, WalkedModelOnlyReplayMatchesHostDrivenReplayUnderFaults) {
+  // A model-only replica walks its captured decode graph; an execute-mode
+  // replica re-runs the model and checks each launch and allocation against
+  // the graph. Both must charge the same device work, and the faults must
+  // land on the same operations of replayed steps: an allocation failure
+  // inside the decode span (retried), a kernel spike, and a device loss
+  // (re-dispatched).
+  const auto reqs = infer::poisson_requests(16, /*rate=*/20000.0, 3, 9, 20, 30,
+                                            fleet_gpt2().vocab, 5);
+  std::vector<FaultPlan> plans(2);
+  plans[0]
+      .add(FaultPlan::alloc_fail(/*step=*/10, /*count=*/1, "serve.decode"))
+      .add(FaultPlan::kernel_spike(/*step=*/12, "", /*factor=*/8.0))
+      .add(FaultPlan::device_loss(/*step=*/14, /*rank=*/0));
+  const auto [walked_fleet, walked] = run_faulted_fleet(simgpu::ExecMode::kModelOnly, reqs, plans);
+  const auto [host_fleet, host] = run_faulted_fleet(simgpu::ExecMode::kExecute, reqs, plans);
+
+  // The faults hit replayed steps: replica 0 captured at step 1, retried
+  // step 10, and died at step 14.
+  ASSERT_EQ(walked.replica_reports.size(), 2u);
+  const infer::ServeReport& r0 = walked.replica_reports[0];
+  EXPECT_EQ(r0.decode_steps, 14);
+  EXPECT_EQ(r0.replayed_steps, 12);
+  EXPECT_EQ(r0.decode_retries, 1);
+  EXPECT_EQ(walked.deaths, 1);
+  EXPECT_GE(walked.redispatches, 1);
+  EXPECT_EQ(walked.served, static_cast<int64_t>(reqs.size()));
+  expect_same_fleet_runs(*walked_fleet, walked, *host_fleet, host);
+  // The replayed decode kernels were walked, not launched from the host.
+  for (int r = 0; r < 2; ++r)
+    EXPECT_GE(walked_fleet->device(r).walked_launches(),
+              walked_fleet->device(r).stats().replayed_launches);
+}
+
+TEST(FleetTest, WalkedModelOnlyPrefillsMatchEagerPrefillsUnderFaults) {
+  // Admission prefills of varied lengths, half behind a shared system
+  // prompt whose pages are reused (so prefills of one length write
+  // different ranges): a model-only replica captures the first prefill of
+  // each length and walks the later ones; an execute-mode replica runs
+  // every prefill eagerly. Faults land inside prefills: an allocation
+  // failure (the replica is quarantined and the request moves on), a spike
+  // on every K/V store of a step, and a device loss in a K/V store.
+  constexpr int64_t kSystemPrompt = 8;
+  auto reqs = infer::poisson_requests(48, /*rate=*/20000.0, 3, 9, 2, 6,
+                                      fleet_gpt2().vocab, 11);
+  for (size_t i = 0; i < reqs.size(); i += 2) {
+    std::vector<int32_t> prompt(kSystemPrompt, 7);
+    prompt.insert(prompt.end(), reqs[i].prompt.begin(), reqs[i].prompt.end());
+    reqs[i].prompt = std::move(prompt);
+  }
+  std::vector<FaultPlan> plans(2);
+  plans[0]
+      .add(FaultPlan::alloc_fail(/*step=*/9, /*count=*/1, "serve.prefill"))
+      .add(FaultPlan::kernel_spike(/*step=*/14, "kv_store_paged", /*factor=*/8.0,
+                                   /*count=*/-1));
+  plans[1].add(FaultPlan::device_loss(/*step=*/24, /*rank=*/0, "kv_store_paged"));
+  const auto [walked_fleet, walked] =
+      run_faulted_fleet(simgpu::ExecMode::kModelOnly, reqs, plans, /*page_tokens=*/4);
+  const auto [host_fleet, host] =
+      run_faulted_fleet(simgpu::ExecMode::kExecute, reqs, plans, /*page_tokens=*/4);
+
+  EXPECT_EQ(walked.quarantines, 1);
+  EXPECT_EQ(walked.deaths, 1);
+  EXPECT_EQ(walked.served + walked.shed, static_cast<int64_t>(reqs.size()));
+  EXPECT_EQ(walked.lost, 0);
+  int64_t walked_prefills = 0, shared_hits = 0;
+  for (const infer::ServeReport& r : walked.replica_reports) {
+    walked_prefills += r.walked_prefills;
+    shared_hits += r.shared_page_hits;
+  }
+  EXPECT_GT(walked_prefills, 10) << "most prefills repeat a length seen before";
+  EXPECT_GT(shared_hits, 0) << "the system prompt's pages are shared";
+  expect_same_fleet_runs(*walked_fleet, walked, *host_fleet, host);
+}
+
+TEST(FleetTest, FailedAdmissionPrefillFreesItsLane) {
+  // A transient allocation failure inside an admission prefill quarantines
+  // the replica. The lane and pages the admission had claimed go back to
+  // the cache and the request is re-dispatched; a leaked lane would later
+  // decode with no owning slot and fail the fleet.
+  const auto reqs = infer::poisson_requests(16, /*rate=*/20000.0, 3, 9, 20, 30,
+                                            fleet_gpt2().vocab, 5);
+  for (simgpu::ExecMode mode : {simgpu::ExecMode::kModelOnly, simgpu::ExecMode::kExecute}) {
+    SCOPED_TRACE(mode == simgpu::ExecMode::kModelOnly ? "model-only" : "execute");
+    infer::FleetConfig fc = fleet_config(2, mode);
+    fc.session.graph_capture = true;
+    fc.fault_plans.resize(2);
+    fc.fault_plans[0].add(FaultPlan::alloc_fail(/*step=*/2, /*count=*/1, "serve.prefill"));
+    infer::Fleet fleet(fc);
+    const infer::FleetReport rep = fleet.run(reqs);
+    EXPECT_EQ(rep.quarantines, 1);
+    EXPECT_EQ(rep.served + rep.shed, static_cast<int64_t>(reqs.size()));
+    EXPECT_EQ(rep.lost, 0);
   }
 }
 

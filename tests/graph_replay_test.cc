@@ -346,7 +346,7 @@ TEST(GraphCaptureSafety, ExtraOrMissingArenaAllocationUnderReplayThrows) {
   step(2);
   const simgpu::StepGraph graph = dev.end_capture();
   ASSERT_TRUE(graph.valid);
-  EXPECT_EQ(graph.nodes.size(), 4u);
+  EXPECT_EQ(graph.size(), 4u);
 
   dev.begin_replay(graph);
   step(2);

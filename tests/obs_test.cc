@@ -372,6 +372,101 @@ TEST(SloTest, CachedRefreshMatchesBruteForceRecompute) {
   }
 }
 
+// Events arrive out of order when a fleet merges completions from replicas
+// whose clocks lag one another: one may land in an older slice, or recycle
+// a ring slot the window still covers. The monitor records an in-window
+// event straight into its merged window; every refresh must still equal a
+// ring that applies the same slot recycling and re-merges every slice on
+// every refresh.
+TEST(SloTest, OutOfOrderEventsMatchARingRemergedOnEveryRefresh) {
+  SloConfig cfg;
+  cfg.window_us = 800.0;
+  cfg.slices = 4;
+  const double slice_us = cfg.window_us / cfg.slices;
+
+  struct RefSlice {
+    int64_t index = -1;
+    std::vector<double> latencies;
+    int64_t served = 0, shed = 0, tokens = 0;
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    MetricsRegistry reg;
+    SloMonitor mon(&reg, "fleet", cfg);
+    std::vector<RefSlice> ring(static_cast<size_t>(cfg.slices));
+    double origin = -1;
+    auto ref_slice = [&](double t) -> RefSlice& {
+      const int64_t idx = static_cast<int64_t>(std::max(0.0, t) / slice_us);
+      RefSlice& rs = ring[static_cast<size_t>(idx % cfg.slices)];
+      if (rs.index != idx) rs = RefSlice{idx, {}, 0, 0, 0};
+      if (origin < 0) origin = t;
+      return rs;
+    };
+    double clock = 0;
+    int out_of_order = 0, recycled_live = 0;
+    for (int op = 0; op < 800; ++op) {
+      const uint64_t r = rng() % 100;
+      if (r < 55) {
+        // Mostly near the clock, sometimes a slice or two behind it, rarely
+        // older than the whole window.
+        double t = clock - static_cast<double>(rng() % 40);
+        const uint64_t lag = rng() % 10;
+        if (lag < 2) t = clock - slice_us * static_cast<double>(1 + rng() % 3);
+        if (lag == 2) t = clock - cfg.window_us * static_cast<double>(1 + rng() % 2);
+        t = std::max(0.0, t);
+        out_of_order += t < clock ? 1 : 0;
+        const int64_t idx = static_cast<int64_t>(t / slice_us);
+        const int64_t now_idx = static_cast<int64_t>(clock / slice_us);
+        const RefSlice& slot = ring[static_cast<size_t>(idx % cfg.slices)];
+        recycled_live += slot.index != idx && slot.index > now_idx - cfg.slices ? 1 : 0;
+        if (rng() % 8 != 0) {
+          const double latency = 50.0 + static_cast<double>(rng() % 5000);
+          const int64_t tokens = static_cast<int64_t>(rng() % 64);
+          mon.on_served(t, latency, tokens);
+          RefSlice& rs = ref_slice(t);
+          rs.latencies.push_back(latency);
+          rs.served += 1;
+          rs.tokens += tokens;
+        } else {
+          mon.on_shed(t);
+          ref_slice(t).shed += 1;
+        }
+        continue;
+      }
+      if (r < 80) clock += static_cast<double>(rng() % 60);
+      else if (r < 95) clock += slice_us * static_cast<double>(1 + rng() % 2);
+      mon.refresh(clock);
+
+      const int64_t now_index = static_cast<int64_t>(clock / slice_us);
+      Histogram h(cfg.hist);
+      int64_t served = 0, shed = 0, tokens = 0;
+      for (const RefSlice& rs : ring) {
+        if (rs.index <= now_index - cfg.slices || rs.index > now_index) continue;
+        for (double v : rs.latencies) h.record(v);
+        served += rs.served;
+        shed += rs.shed;
+        tokens += rs.tokens;
+      }
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
+      const double availability =
+          served + shed > 0 ? static_cast<double>(served) / static_cast<double>(served + shed)
+                            : 1.0;
+      double span = cfg.window_us;
+      if (origin >= 0) span = std::min(span, std::max(clock - origin, slice_us));
+      EXPECT_EQ(reg.gauge("fleet.slo.p50_us"), h.quantile(0.50));
+      EXPECT_EQ(reg.gauge("fleet.slo.p99_us"), h.quantile(0.99));
+      EXPECT_EQ(reg.gauge("fleet.slo.availability"), availability);
+      EXPECT_EQ(reg.gauge("fleet.slo.shed_rate"), 1.0 - availability);
+      EXPECT_EQ(reg.gauge("fleet.slo.tokens_per_s"),
+                static_cast<double>(tokens) / (span / 1e6));
+      EXPECT_EQ(mon.window_served(), served);
+      EXPECT_EQ(mon.window_shed(), shed);
+    }
+    EXPECT_GT(out_of_order, 100) << "seed " << seed;
+    EXPECT_GT(recycled_live, 5) << "seed " << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Structured logging
 // ---------------------------------------------------------------------------

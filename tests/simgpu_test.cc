@@ -435,10 +435,10 @@ StepGraph capture_step(Device& dev) {
 TEST(StepGraphTest, ArenaAllocationsAreValidatedUnderHostDrivenReplay) {
   Device dev(v100(), ExecMode::kModelOnly);
   const StepGraph graph = capture_step(dev);
-  ASSERT_EQ(graph.nodes.size(), 3u);
-  EXPECT_EQ(graph.nodes[1].kind, GraphNode::Kind::kAlloc);
-  EXPECT_EQ(graph.nodes[1].alloc_bytes, 512);
-  EXPECT_EQ(graph.nodes[1].range, "decode");
+  ASSERT_EQ(graph.size(), 3u);
+  EXPECT_EQ(graph.node(1).kind, GraphNode::Kind::kAlloc);
+  EXPECT_EQ(graph.node(1).alloc_bytes, 512);
+  EXPECT_EQ(graph.node(1).range, "decode");
   EXPECT_EQ(graph.kernel_launches, 2);
 
   // The captured sequence replays cleanly.
@@ -596,6 +596,220 @@ TEST(StepGraphTest, WalkAfterResetAttributesIntoFreshStats) {
   EXPECT_NEAR(dev.range_time_us("decode"), 3.0, 1e-9);
   EXPECT_EQ(dev.stats().launches, 2);
   EXPECT_EQ(dev.stats().replayed_launches, 2);
+}
+
+// --- the eager walk: a captured graph standing in for eager launches ---
+
+/// A prefill-shaped step: three identical blocks of two kernels around an
+/// arena allocation, then a head kernel, inside a "prefill" range. Stops
+/// (returns false) where an allocation fault fails it, as the arena would.
+bool launch_prefill(Device& dev) {
+  ScopedRange r(dev, "prefill");
+  for (int block = 0; block < 3; ++block) {
+    dev.launch(named_kernel("test.a", 720 * 1000), nullptr);
+    if (dev.on_arena_alloc(512)) return false;
+    dev.launch(named_kernel("test.b", 2 * 720 * 1000), nullptr);
+  }
+  dev.launch(named_kernel("test.head", 3 * 720 * 1000), nullptr);
+  return true;
+}
+
+void expect_same_charges(const Device& a, const Device& b) {
+  EXPECT_EQ(a.clock_us(), b.clock_us());
+  const DeviceStats& x = a.stats();
+  const DeviceStats& y = b.stats();
+  EXPECT_EQ(x.launches, y.launches);
+  EXPECT_EQ(x.bytes_moved, y.bytes_moved);
+  EXPECT_EQ(x.flops, y.flops);
+  EXPECT_EQ(x.busy_us, y.busy_us);
+  EXPECT_EQ(x.overhead_us, y.overhead_us);
+  EXPECT_EQ(x.launch_gap_us, y.launch_gap_us);
+  EXPECT_EQ(x.alloc_stall_us, y.alloc_stall_us);
+  EXPECT_EQ(x.graph_replays, y.graph_replays);
+  EXPECT_EQ(x.replayed_launches, y.replayed_launches);
+  EXPECT_EQ(x.graph_launch_us, y.graph_launch_us);
+  ASSERT_EQ(a.per_kernel().size(), b.per_kernel().size());
+  for (auto ia = a.per_kernel().begin(), ib = b.per_kernel().begin();
+       ia != a.per_kernel().end(); ++ia, ++ib) {
+    SCOPED_TRACE(ia->first);
+    EXPECT_EQ(ia->first, ib->first);
+    EXPECT_EQ(ia->second.launches, ib->second.launches);
+    EXPECT_EQ(ia->second.bytes, ib->second.bytes);
+    EXPECT_EQ(ia->second.flops, ib->second.flops);
+    EXPECT_EQ(ia->second.time_us, ib->second.time_us);
+    EXPECT_EQ(ia->second.exec_us, ib->second.exec_us);
+    EXPECT_EQ(ia->second.tensor_core, ib->second.tensor_core);
+  }
+  EXPECT_EQ(a.range_times(), b.range_times());
+  const auto& ta = a.timeline().busy_spans();
+  const auto& tb = b.timeline().busy_spans();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].begin_us, tb[i].begin_us) << "busy span " << i;
+    EXPECT_EQ(ta[i].end_us, tb[i].end_us) << "busy span " << i;
+  }
+}
+
+TEST(StepGraphTest, CaptureStoresEachDistinctOperationOnce) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  dev.begin_capture();
+  ASSERT_TRUE(launch_prefill(dev));
+  const StepGraph graph = dev.end_capture();
+  ASSERT_TRUE(graph.valid);
+  ASSERT_EQ(graph.size(), 10u);
+  EXPECT_EQ(graph.ops.size(), 4u) << "test.a, the allocation, test.b, test.head";
+  EXPECT_EQ(graph.kernel_launches, 7);
+  const char* names[] = {"test.a", "", "test.b"};
+  for (size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(graph.node(i).desc.name, names[i % 3]) << "node " << i;
+    EXPECT_EQ(graph.node(i).range, "prefill");
+    EXPECT_EQ(graph.order[i], graph.order[i % 3]) << "blocks share their operations";
+  }
+  EXPECT_EQ(graph.node(9).desc.name, "test.head");
+}
+
+/// Runs the prefill step on `eager` by launching it and on `walked` by
+/// walking `graph` (captured there earlier), both with `plan` armed at step
+/// 1. Returns whether each finished.
+std::pair<bool, bool> run_eager_and_walked(Device& eager, Device& walked, const StepGraph& graph,
+                                           FaultInjector& fe, FaultInjector& fw) {
+  fe.arm(1);
+  fw.arm(1);
+  bool eager_done = false, walked_done = false;
+  try {
+    eager_done = launch_prefill(eager);
+  } catch (const DeviceLostError&) {
+  }
+  try {
+    // Outside any range: a walked kernel's time goes to its captured range.
+    walked_done = walked.walk_eager(graph) == nullptr;
+  } catch (const DeviceLostError&) {
+  }
+  return {eager_done, walked_done};
+}
+
+TEST(StepGraphTest, EagerWalkChargesExactlyAsEagerLaunches) {
+  struct Case {
+    const char* what;
+    FaultPlan plan;
+    bool finishes;
+  };
+  std::vector<Case> cases(4);
+  cases[0] = {"fault-free", {}, true};
+  cases[1] = {"kernel spike", {}, true};
+  cases[1].plan.add(FaultPlan::kernel_spike(/*step=*/1, "test.b", /*factor=*/3.0, /*count=*/2));
+  cases[2] = {"allocation fault", {}, false};
+  cases[2].plan.add(FaultPlan::alloc_fail(/*step=*/1, /*count=*/1, "prefill"));
+  cases[3] = {"device loss", {}, false};
+  cases[3].plan.add(FaultPlan::device_loss(/*step=*/1, /*rank=*/0, "test.b"));
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    FaultInjector fe(c.plan), fw(c.plan);
+    Device eager(v100(), ExecMode::kModelOnly), walked(v100(), ExecMode::kModelOnly);
+    eager.set_fault_injector(&fe);
+    walked.set_fault_injector(&fw);
+    eager.set_record_timeline(true);
+    walked.set_record_timeline(true);
+    ASSERT_TRUE(launch_prefill(eager));
+    walked.begin_capture();
+    ASSERT_TRUE(launch_prefill(walked));
+    const StepGraph graph = walked.end_capture();
+    ASSERT_TRUE(graph.valid);
+    expect_same_charges(eager, walked);  // capture charges as eagerly
+
+    for (int rep = 0; rep < 2; ++rep) {
+      const auto [eager_done, walked_done] = run_eager_and_walked(eager, walked, graph, fe, fw);
+      EXPECT_EQ(eager_done, walked_done);
+      if (rep == 0) EXPECT_EQ(walked_done, c.finishes);
+      expect_same_charges(eager, walked);
+    }
+    EXPECT_EQ(fe.kernel_spikes(), fw.kernel_spikes());
+    EXPECT_EQ(fe.fired(FaultKind::kAllocFail), fw.fired(FaultKind::kAllocFail));
+    EXPECT_EQ(fe.fired(FaultKind::kDeviceLoss), fw.fired(FaultKind::kDeviceLoss));
+    // The walk launched nothing from the host, but charged every kernel
+    // the eager device launched (the one a device loss failed included).
+    EXPECT_EQ(walked.host_launches(), 7);
+    EXPECT_EQ(walked.host_launches() + walked.walked_launches(), eager.host_launches());
+    EXPECT_EQ(walked.stats().graph_replays, 0) << "an eager walk is not a replay";
+  }
+}
+
+TEST(StepGraphTest, EagerWalkFailsAtTheSameAllocationAsTheArena) {
+  // Fail the step's first allocation: the kernel before it ran, the walk
+  // stops at the matching node, and a retry walks to the end.
+  FaultPlan plan;
+  plan.add(FaultPlan::alloc_fail(/*step=*/1, /*count=*/1, "prefill"));
+  FaultInjector faults(plan);
+  Device dev(v100(), ExecMode::kModelOnly);
+  dev.set_fault_injector(&faults);
+  dev.begin_capture();
+  ASSERT_TRUE(launch_prefill(dev));
+  const StepGraph graph = dev.end_capture();
+  faults.arm(1);
+  const int64_t launches = dev.stats().launches;
+  const GraphNode* failed = dev.walk_eager(graph);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->kind, GraphNode::Kind::kAlloc);
+  EXPECT_EQ(failed->alloc_bytes, 512);
+  EXPECT_EQ(failed->range, "prefill");
+  EXPECT_EQ(dev.stats().launches, launches + 1) << "only the kernel before it ran";
+  EXPECT_EQ(dev.walk_eager(graph), nullptr);
+  EXPECT_EQ(dev.stats().launches, launches + 8);
+}
+
+TEST(StepGraphTest, EagerWalkRejectsBadGraphsAndPhases) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  EXPECT_THROW(dev.walk_eager(StepGraph{}), GraphError) << "never captured";
+
+  dev.begin_capture();
+  dev.launch(bytes_kernel(720 * 1000), nullptr);
+  (void)dev.enqueue_comm(20.0, "b0");
+  const StepGraph comm = dev.end_capture();
+  ASSERT_TRUE(comm.valid);
+  const int64_t launches = dev.stats().launches;
+  EXPECT_THROW(dev.walk_eager(comm), GraphError);
+  EXPECT_EQ(dev.stats().launches, launches) << "nothing is charged before the rejection";
+
+  dev.begin_capture();
+  ASSERT_TRUE(launch_prefill(dev));
+  const StepGraph graph = dev.end_capture();
+  dev.begin_capture();
+  EXPECT_THROW(dev.walk_eager(graph), Error) << "no walk inside a capture";
+  dev.abort_graph();
+  dev.begin_replay(graph);
+  EXPECT_THROW(dev.walk_eager(graph), Error) << "no walk inside a replay";
+  dev.abort_graph();
+}
+
+TEST(StepGraphTest, AlternatingWalksOfTwoGraphsAttributeCorrectly) {
+  // Each graph keeps its own resolved stats slots; alternating walks (a
+  // prefill walk between decode replays) and a reset() in between must all
+  // land in the right per-kernel and range entries.
+  Device dev(v100(), ExecMode::kModelOnly);
+  dev.begin_capture();
+  ASSERT_TRUE(launch_prefill(dev));
+  const StepGraph prefill = dev.end_capture();
+  const StepGraph decode = capture_step(dev);
+  for (int round = 0; round < 2; ++round) {
+    dev.reset();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(dev.walk_eager(prefill), nullptr);
+      dev.begin_replay(decode);
+      ASSERT_EQ(dev.walk_replay(), nullptr);
+      dev.end_replay();
+    }
+    EXPECT_EQ(dev.per_kernel().at("test.a").launches, 3 * 3 + 3);
+    EXPECT_EQ(dev.per_kernel().at("test.b").launches, 3 * 3 + 3);
+    EXPECT_EQ(dev.per_kernel().at("test.head").launches, 3);
+    EXPECT_EQ(dev.stats().replayed_launches, 6);
+    EXPECT_EQ(dev.walked_launches(), 3 * 7 + 3 * 2);
+    EXPECT_EQ(dev.host_launches(), 0);
+    // prefill: 3 x (1 + 2) + 3 us of kernels plus 7 launch gaps; decode:
+    // 1 + 2 us, replayed back to back.
+    const double gap = v100().launch_overhead_us;
+    EXPECT_NEAR(dev.range_time_us("prefill"), 3 * (12.0 + 7 * gap), 1e-9);
+    EXPECT_NEAR(dev.range_time_us("decode"), 3 * 3.0, 1e-9);
+  }
 }
 
 }  // namespace
