@@ -27,7 +27,10 @@
 #                      train_step driver must hold across its pp = 1 and
 #                      pp > 1 cases (PP 1F1B parity/schedule/hybrid
 #                      claims, pipelined-update and graph-replay parity,
-#                      Chrome-trace well-formedness), and (release
+#                      Chrome-trace well-formedness; the caching
+#                      allocator against its reference model, memory_test;
+#                      heap allocations per launch of a model-only
+#                      tp2 x pp2 step, alloc_count_test), and (release
 #                      only) fig_3d with its schema check plus the
 #                      perfbench self-test on mt_big_3d (builds perfbench;
 #                      same-seed determinism of the model-only TP x PP path).
@@ -113,7 +116,7 @@ elif [ "$SMOKE" = tp ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R tensor_parallel_test
 elif [ "$SMOKE" = pp ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error \
-    -R 'pipeline_parallel_test|pipeline_update_test|graph_replay_test|trace_test'
+    -R 'pipeline_parallel_test|pipeline_update_test|graph_replay_test|trace_test|memory_test|alloc_count_test'
 elif [ "$SMOKE" = fault ]; then
   ctest --output-on-failure --timeout 300 --no-tests=error -R fault_tolerance_test
 elif [ "$SMOKE" = fleet ]; then

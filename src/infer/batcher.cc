@@ -101,6 +101,7 @@ bool ContinuousBatcher::admit(size_t r) {
   RequestStats& st = stats_[r];
   st.id = req.id;
   st.arrival_us = req.arrival_us;
+  const double admitted_before = st.admitted_us;
   st.admitted_us = dev.clock_us();
   st.prompt_len = Lp;
   // A preempted request re-admits with its generated tokens folded into the
@@ -113,7 +114,10 @@ bool ContinuousBatcher::admit(size_t r) {
   } catch (...) {
     // A failed prefill (transient allocation fault, device loss) owns no
     // slot yet: give its lane and pages back, or nothing would free them.
+    // Nor was the request admitted: an evacuated partial must not carry
+    // this attempt's admission time.
     cache_->free(h);
+    st.admitted_us = admitted_before;
     throw;
   }
   st.tokens.push_back(tok);

@@ -65,6 +65,11 @@ class LayerContext {
       : kern(device, activation_alloc, seed),
         policy(policy),
         act_alloc_(activation_alloc ? activation_alloc : heap_allocator()) {}
+  /// A context destroyed mid-step (core::capacity_scan never ends its
+  /// step) still hands its shard reservations back.
+  ~LayerContext() { release_tp_reservations(); }
+  LayerContext(const LayerContext&) = delete;
+  LayerContext& operator=(const LayerContext&) = delete;
 
   /// Allocate an activation / temporary for the current step.
   Tensor alloc(Shape shape, DType dtype) {
@@ -87,22 +92,26 @@ class LayerContext {
   /// to) and host-side (alloc_host: uncommitted outside kExecute), while one
   /// shard's bytes are reserved from the device activation allocator so
   /// per-device memory accounting — arena sizing, capacity scans, OOM —
-  /// sees what a real TP rank would allocate. Reservations live until
-  /// release_tp_reservations() (Session::end_step). Identical to alloc()
-  /// when TP is off.
+  /// sees what a real TP rank would allocate. A reservation is raw bytes
+  /// and lives until release_tp_reservations()
+  /// (Session::end_step, Session::rewind_to_step) or the context's
+  /// destruction. Identical to alloc() when TP is off.
   Tensor alloc_shard(Shape shape, DType dtype) {
     const int k = tp_size();
     if (k <= 1) return alloc(std::move(shape), dtype);
-    const int64_t shard_bytes = static_cast<int64_t>(
+    const size_t shard_bytes = static_cast<size_t>(
         (shape.numel() * static_cast<int64_t>(dtype_size(dtype)) + k - 1) / k);
-    tp_reservations_.push_back(
-        Tensor::empty({shard_bytes}, DType::kU8, act_alloc_));
+    tp_reservations_.push_back({act_alloc_, act_alloc_->allocate(shard_bytes), shard_bytes});
     return alloc_host(std::move(shape), dtype);
   }
 
-  /// Drop the per-step shard reservations (before the arena's end-of-step
-  /// reset, which asserts everything was returned).
-  void release_tp_reservations() { tp_reservations_.clear(); }
+  /// Return the per-step shard reservations, in the order they were taken
+  /// (before the arena's end-of-step reset, which asserts everything was
+  /// returned).
+  void release_tp_reservations() {
+    for (const ShardReservation& r : tp_reservations_) r.alloc->deallocate(r.ptr, r.bytes);
+    tp_reservations_.clear();
+  }
 
   simgpu::Device& device() { return kern.dev; }
   BufferAllocator* activation_allocator() { return act_alloc_; }
@@ -154,8 +163,15 @@ class LayerContext {
   bool pp_flush = false;
 
  private:
+  /// One shard's bytes, taken from the allocator that was active then.
+  struct ShardReservation {
+    BufferAllocator* alloc;
+    void* ptr;
+    size_t bytes;
+  };
+
   BufferAllocator* act_alloc_;
-  std::vector<Tensor> tp_reservations_;
+  std::vector<ShardReservation> tp_reservations_;
 };
 
 /// Pad a sequence length up to the policy's required multiple (DeepSpeed's

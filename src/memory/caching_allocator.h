@@ -7,11 +7,19 @@
 // watermarks, physical memory grows in steps over training — exactly the
 // Fairseq behaviour in Fig. 20 — and the malloc stalls depress utilisation
 // (Fig. 21).
+//
+// Host cost (DESIGN.md §5): every block size is a bucket — a multiple of
+// 512 B up to 1 MB, of 2 MB above — so the free list is one stack of
+// blocks per bucket, indexed in size order, with a bitmap of the non-empty
+// ones. A request scans that bitmap for the smallest cached size in
+// [bucket, 2 x bucket]. Live blocks sit in a flat open-addressing table
+// from pointer to size. Once the stacks and the table have grown to the
+// step's working set, an allocate/free pair touches no heap.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "memory/device_allocator.h"
 
@@ -38,13 +46,28 @@ class CachingAllocator final : public DeviceAllocator {
   int64_t cache_misses() const { return misses_; }
 
  private:
-  static size_t round_bucket(size_t bytes);
+  struct LiveSlot {
+    void* ptr = nullptr;  ///< nullptr = empty slot
+    size_t size = 0;
+  };
 
-  // block size -> free blocks of exactly that size
-  std::multimap<size_t, void*> free_blocks_;
+  static size_t round_bucket(size_t bytes);
+  /// Free the cached blocks, smallest size first, and empty the bins.
+  void free_cached();
+  /// Index of the smallest non-empty bin in [lo, hi], or SIZE_MAX.
+  size_t first_free_bin(size_t lo, size_t hi) const;
+  void live_insert(void* ptr, size_t size);
+  /// Remove `ptr` from the live table and return its block size.
+  size_t live_take(void* ptr);
+
+  // bin i holds the free blocks of size bin_size(i); bin order is size order
+  std::vector<std::vector<void*>> bins_;
+  std::vector<uint64_t> nonempty_;  ///< bit i set <=> bins_[i] has a block
   // live block -> its size, which exceeds the request's bucket when a
-  // larger cached block served it; the block goes back whole
-  std::unordered_map<void*, size_t> live_blocks_;
+  // larger cached block served it; the block goes back whole. Linear
+  // probing over a power-of-two table at most half full.
+  std::vector<LiveSlot> live_;
+  size_t live_count_ = 0;
   int64_t cached_bytes_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

@@ -33,37 +33,41 @@ void Device::pop_charge_scale() {
   charge_scale_stack_.pop_back();
 }
 
-void Device::launch(const KernelDesc& launch_desc, KernelBody body) {
+void Device::launch(const KernelDesc& desc, KernelBody body) {
   ++host_launches_;
-  KernelDesc scaled;
-  const KernelDesc& desc = [&]() -> const KernelDesc& {
-    if (charge_scale_ == 1.0) return launch_desc;
-    scaled = launch_desc;
-    scaled.bytes_read = static_cast<int64_t>(
-        static_cast<double>(launch_desc.bytes_read) * charge_scale_);
-    scaled.bytes_written = static_cast<int64_t>(
-        static_cast<double>(launch_desc.bytes_written) * charge_scale_);
-    scaled.flops = launch_desc.flops * charge_scale_;
-    return scaled;
-  }();
   LS2_CHECK(desc.mem_efficiency > 0 && desc.mem_efficiency <= 1.0)
       << desc.name << " mem_efficiency " << desc.mem_efficiency;
   LS2_CHECK(desc.compute_efficiency > 0 && desc.compute_efficiency <= 1.0)
       << desc.name << " compute_efficiency " << desc.compute_efficiency;
+  // Under a charge scale the costed numbers are scaled into a nameless
+  // descriptor; the name is always read from `desc`.
+  KernelDesc scaled;
+  if (charge_scale_ != 1.0) {
+    scaled.bytes_read =
+        static_cast<int64_t>(static_cast<double>(desc.bytes_read) * charge_scale_);
+    scaled.bytes_written =
+        static_cast<int64_t>(static_cast<double>(desc.bytes_written) * charge_scale_);
+    scaled.flops = desc.flops * charge_scale_;
+    scaled.mem_efficiency = desc.mem_efficiency;
+    scaled.compute_efficiency = desc.compute_efficiency;
+    scaled.tensor_core = desc.tensor_core;
+  }
+  const KernelDesc& cost = charge_scale_ == 1.0 ? desc : scaled;
 
   if (graph_phase_ == GraphPhase::kReplay) {
-    const GraphNode& node = consume_node(GraphNode::Kind::kKernel, &desc);
-    attribute(charge_replayed(desc, node.exec_us, per_kernel_[desc.name]));
+    const GraphNode& node = consume_node(GraphNode::Kind::kKernel, &desc.name, &cost);
+    attribute(charge_replayed(cost, desc.name, node.exec_us, per_kernel_[desc.name]));
   } else {
     // The spike multiplier is charged live but the CAPTURE records the clean
     // execution time: a transient stall on the capture step must not get
     // baked into every future replay.
-    const double base_exec = kernel_time_us(desc);
-    attribute(charge_eager(desc, base_exec, per_kernel_[desc.name]));
+    const double base_exec = kernel_time_us(cost);
+    attribute(charge_eager(cost, desc.name, base_exec, per_kernel_[desc.name]));
     if (graph_phase_ == GraphPhase::kCapture) {
       GraphNode node;
       node.kind = GraphNode::Kind::kKernel;
-      node.desc = desc;
+      node.desc = cost;
+      node.desc.name = desc.name;
       node.exec_us = base_exec;
       node.range = current_range();
       capture_node(std::move(node));
@@ -85,10 +89,10 @@ void Device::count_launch(const KernelDesc& desc, KernelStats& ks) {
   ks.flops += desc.flops;
 }
 
-double Device::charge_eager(const KernelDesc& desc, double base_exec, KernelStats& ks) {
+double Device::charge_eager(const KernelDesc& desc, const std::string& name,
+                            double base_exec, KernelStats& ks) {
   count_launch(desc, ks);
-  const double exec =
-      fault_ != nullptr ? base_exec * fault_->on_kernel(desc.name) : base_exec;
+  const double exec = fault_ != nullptr ? base_exec * fault_->on_kernel(name) : base_exec;
   stats_.busy_us += exec;
   // Launch gap: the GPU is idle while the host dispatches the kernel.
   const double overhead = profile_.launch_overhead_us;
@@ -104,14 +108,15 @@ double Device::charge_eager(const KernelDesc& desc, double base_exec, KernelStat
   return overhead + exec;
 }
 
-double Device::charge_replayed(const KernelDesc& desc, double exec_us, KernelStats& ks) {
+double Device::charge_replayed(const KernelDesc& desc, const std::string& name,
+                               double exec_us, KernelStats& ks) {
   count_launch(desc, ks);
   // Replayed kernels run back to back: the graph was dispatched as one
   // unit (charged in begin_replay), so there is no per-launch gap. The
   // execution time is the one BAKED INTO the graph node at capture — a
   // replay runs the captured launch parameters, not freshly-derived ones.
   // Faults still apply: replay fixes the launch sequence, not the silicon.
-  if (fault_ != nullptr) exec_us *= fault_->on_kernel(desc.name);
+  if (fault_ != nullptr) exec_us *= fault_->on_kernel(name);
   stats_.replayed_launches += 1;
   stats_.busy_us += exec_us;
   ks.time_us += exec_us;
@@ -152,7 +157,7 @@ double Device::enqueue_comm(double us, const std::string& attribution) {
   } else if (graph_phase_ == GraphPhase::kReplay) {
     // The transfer is a graph node, but its begin/completion times are
     // recomputed below from the live clocks (replay-time parameters).
-    const GraphNode& node = consume_node(GraphNode::Kind::kCommEnqueue, nullptr);
+    const GraphNode& node = consume_node(GraphNode::Kind::kCommEnqueue);
     if (node.comm_us != us)
       throw GraphError("replayed comm transfer duration " + std::to_string(us) +
                        " us != captured " + std::to_string(node.comm_us) +
@@ -207,7 +212,7 @@ double Device::wait_comm_until(double t_us, const std::string& attribution) {
   } else if (graph_phase_ == GraphPhase::kReplay) {
     // A stream-wait edge: the edge is part of the graph, the timestamp it
     // resolves to is not — the exposed wait is recomputed every replay.
-    (void)consume_node(GraphNode::Kind::kCommWait, nullptr);
+    (void)consume_node(GraphNode::Kind::kCommWait);
   }
   // A transfer's completion time can never exceed the comm clock; waiting
   // past it would be waiting on nothing.
@@ -251,7 +256,7 @@ bool Device::on_arena_alloc(int64_t bytes) {
     node.range = current_range();
     capture_node(std::move(node));
   } else if (graph_phase_ == GraphPhase::kReplay) {
-    const GraphNode& node = consume_node(GraphNode::Kind::kAlloc, nullptr);
+    const GraphNode& node = consume_node(GraphNode::Kind::kAlloc);
     if (node.alloc_bytes != bytes)
       throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) +
                        ": replayed arena allocation of " + std::to_string(bytes) +
@@ -431,8 +436,9 @@ const GraphNode* Device::walk(const StepGraph& graph, size_t& cursor, bool eager
     WalkSlot& slot = slots[op];
     if (slot.kernel == nullptr) slot.kernel = &per_kernel_[node.desc.name];
     ++walked_launches_;
-    const double charged = eager ? charge_eager(node.desc, node.exec_us, *slot.kernel)
-                                 : charge_replayed(node.desc, node.exec_us, *slot.kernel);
+    const double charged =
+        eager ? charge_eager(node.desc, node.desc.name, node.exec_us, *slot.kernel)
+              : charge_replayed(node.desc, node.desc.name, node.exec_us, *slot.kernel);
     if (!node.range.empty()) {
       if (slot.range == nullptr) slot.range = &range_times_[node.range];
       *slot.range += charged;
@@ -462,7 +468,8 @@ const char* node_kind_name(GraphNode::Kind kind) {
 }
 }  // namespace
 
-const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* desc) {
+const GraphNode& Device::consume_node(GraphNode::Kind kind, const std::string* name,
+                                      const KernelDesc* cost) {
   if (replay_cursor_ >= replay_->size())
     throw GraphError("replayed step issued more operations than the captured graph (" +
                      std::to_string(replay_->size()) + " nodes): extra " +
@@ -472,14 +479,12 @@ const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* de
     throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) + " is " +
                      node_kind_name(node.kind) + " but the replayed step issued " +
                      node_kind_name(kind));
-  if (desc != nullptr) {
-    if (!(node.desc.name == desc->name &&
-          node.desc.bytes_read == desc->bytes_read &&
-          node.desc.bytes_written == desc->bytes_written &&
-          node.desc.flops == desc->flops))
+  if (name != nullptr) {
+    if (!(node.desc.name == *name && node.desc.bytes_read == cost->bytes_read &&
+          node.desc.bytes_written == cost->bytes_written && node.desc.flops == cost->flops))
       throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) + " ('" +
                        node.desc.name + "') does not match replayed launch '" +
-                       desc->name +
+                       *name +
                        "' — the step is not static (did the batch shape "
                        "change?); graph capture requires fixed shapes, like "
                        "real CUDA Graphs");

@@ -389,12 +389,16 @@ class Device {
   void count_launch(const KernelDesc& desc, KernelStats& ks);
   /// Charge one eager kernel execution, shared by launch() and walk_eager:
   /// faults apply on top of the clean `base_exec`, plus the launch gap.
-  /// Returns the time charged, which the caller attributes to a range.
-  double charge_eager(const KernelDesc& desc, double base_exec, KernelStats& ks);
+  /// `desc` gives the costed numbers and `name` the kernel (a charge-scaled
+  /// launch passes a nameless scaled copy). Returns the time charged, which
+  /// the caller attributes to a range.
+  double charge_eager(const KernelDesc& desc, const std::string& name, double base_exec,
+                      KernelStats& ks);
   /// Charge one replayed kernel node, shared by host-driven replay and the
   /// walk: faults apply on top of the captured `exec_us`. Returns the time
   /// charged, which the caller attributes to a range.
-  double charge_replayed(const KernelDesc& desc, double exec_us, KernelStats& ks);
+  double charge_replayed(const KernelDesc& desc, const std::string& name, double exec_us,
+                         KernelStats& ks);
   /// Shared walk loop: charge `graph`'s nodes from `cursor` on (eagerly or
   /// as replayed), advancing `cursor`; returns a failed kAlloc node or
   /// nullptr at the end.
@@ -404,8 +408,10 @@ class Device {
   /// True when an armed allocation fault matching `range` fails this one.
   bool alloc_fault(const std::string& range);
   /// Replay-side node matching: checks the next node has `kind` (and, for
-  /// kernels, an equal descriptor) and advances the cursor.
-  const GraphNode& consume_node(GraphNode::Kind kind, const KernelDesc* desc);
+  /// a kernel, `name` and the costed numbers of `cost`) and advances the
+  /// cursor.
+  const GraphNode& consume_node(GraphNode::Kind kind, const std::string* name = nullptr,
+                                const KernelDesc* cost = nullptr);
 
   DeviceProfile profile_;
   ExecMode mode_;

@@ -1,9 +1,11 @@
-// Host heap traffic of a GPT-2 decode step (DESIGN.md §2).
+// Host heap traffic of a GPT-2 decode step and of a 3D-parallel training
+// step (DESIGN.md §2).
 //
 // This binary replaces the global operator new with a counting one and
 // serves GPT-2 base (FP16, model-only, paged KV, a metrics registry
 // attached) until the decode step is in its steady state, then counts the
-// heap allocations over N more steps. Three steady states are pinned:
+// heap allocations over N more steps. Three serving steady states are
+// pinned:
 //  * replayed — the device walks the captured graph and the host issues no
 //    launch, so the whole step (batcher bookkeeping, SLO refresh, gauges)
 //    is pinned per step;
@@ -14,8 +16,11 @@
 //  * walked admission prefill — a prompt length seen before walks its
 //    captured prefill graph, so an admission (lane and pages, the walk,
 //    first token, retirement) is pinned per prefill, with no host launch.
+// Training pins a model-only tp2 x pp2 Transformer step per launch (the
+// pipeline's remote-stage caching allocator and the TP shard reservations
+// included), and a warmed caching-allocator hit-then-free pair at zero.
 // The counts are deterministic for a given toolchain and standard library:
-// a change that puts an allocation back on either path moves them by a
+// a change that puts an allocation back on any of these paths moves them by a
 // whole number per step or per launch and fails here.
 #include <gtest/gtest.h>
 
@@ -239,3 +244,151 @@ TEST(AllocCountTest, EagerDecodeStaysUnderTheLaunchBound) {
 
 }  // namespace
 }  // namespace ls2::infer
+
+namespace ls2::core {
+namespace {
+
+struct TrainCounts {
+  int64_t allocations = 0;
+  int64_t launches = 0;
+  int64_t host_launches = 0;
+  int64_t remote_misses = 0;  ///< remote-stage device mallocs while counting
+};
+
+/// Rows [0, rows) of `big`, with its token count recomputed.
+models::MtBatch take_rows(const models::MtBatch& big, int64_t rows) {
+  models::MtBatch b = big;
+  b.src_ids = big.src_ids.slice(0, rows);
+  b.tgt_in = big.tgt_in.slice(0, rows);
+  b.tgt_out = big.tgt_out.slice(0, rows);
+  b.src_lens = big.src_lens.slice(0, rows);
+  b.tgt_lens = big.tgt_lens.slice(0, rows);
+  b.tokens = 0;
+  const int32_t* lens = b.tgt_lens.data<int32_t>();
+  for (int64_t i = 0; i < rows; ++i) b.tokens += lens[i];
+  return b;
+}
+
+/// Trains a small FP16 Transformer in model-only mode at dp2 x tp2 x pp2
+/// with 4 microbatches (the layout of the benchmark's paper-scale run, an
+/// arena sized by the capacity scan) over batches of several shapes, warms
+/// every shape up, and counts heap allocations and launches over one more
+/// pass.
+TrainCounts count_pipelined_train_steps() {
+  constexpr int kMicrobatches = 4, kWarmupPasses = 2;
+  constexpr uint64_t kSeed = 17;
+  models::TransformerConfig cfg = models::TransformerConfig::base(2, 2);
+  cfg.vocab = 64;
+  cfg.hidden = 64;
+  cfg.heads = 4;
+  cfg.ffn_dim = 128;
+  cfg.max_len = 64;
+  cfg.tp.size = 2;
+  cfg.tp.simulate_peers = false;
+  dist::ClusterConfig cluster;
+  cluster.gpus_per_node = 4;
+  cluster.nodes = 2;
+  cluster.tensor_parallel = 2;
+  cluster.pipeline_parallel = 2;
+  cluster.microbatches = kMicrobatches;
+  dist::ProcessGroup pg(cluster);
+
+  data::MtDataset ds(cfg.vocab, 512, 4, 40, 23);
+  std::vector<models::MtBatch> batches;
+  for (const models::MtBatch& b : data::make_mt_batches(ds, 512, DType::kF16)) {
+    const int64_t rows = b.src_ids.shape()[0] / kMicrobatches * kMicrobatches;
+    if (rows > 0 && batches.size() < 8) batches.push_back(take_rows(b, rows));
+  }
+  EXPECT_EQ(batches.size(), 8u);
+
+  SessionConfig sc;
+  sc.system = layers::System::kLightSeq2;
+  sc.profile = simgpu::a100();
+  sc.mode = simgpu::ExecMode::kModelOnly;
+  sc.dtype = DType::kF16;
+  sc.seed = kSeed;
+  CapacityScanOptions opt;
+  opt.profile = sc.profile;
+  opt.seed = kSeed;
+  opt.tp_group = &pg;
+  for (const models::MtBatch& b : batches) {
+    sc.arena_bytes = std::max(
+        sc.arena_bytes, capacity_scan(
+                            [&](BufferAllocator* alloc) {
+                              return std::make_unique<models::Transformer>(
+                                  cfg, sc.system, sc.dtype, kSeed, alloc);
+                            },
+                            b, opt));
+  }
+  Session session(sc);
+  session.ctx().tp_group = &pg;
+  models::Transformer model(cfg, sc.system, sc.dtype, kSeed, session.param_alloc());
+  optim::OptimConfig oc;
+  oc.dynamic_loss_scale = true;
+  auto trainer = optim::make_trainer(sc.system, model.params(), oc, session.param_alloc());
+
+  for (int pass = 0; pass < kWarmupPasses; ++pass)
+    for (const models::MtBatch& b : batches) (void)train_step(session, model, b, *trainer, cluster);
+
+  TrainCounts c;
+  const simgpu::Device& dev = session.device();
+  const int64_t launches_before = dev.stats().launches;
+  const int64_t host_before = dev.host_launches();
+  const int64_t misses_before = session.pp_state->remote_alloc->cache_misses();
+  const int64_t allocs_before = g_allocations.load();
+  for (const models::MtBatch& b : batches) (void)train_step(session, model, b, *trainer, cluster);
+  c.allocations = g_allocations.load() - allocs_before;
+  c.launches = dev.stats().launches - launches_before;
+  c.host_launches = dev.host_launches() - host_before;
+  c.remote_misses = session.pp_state->remote_alloc->cache_misses() - misses_before;
+  return c;
+}
+
+TEST(AllocCountTest, ModelOnlyPipelinedTrainStepStaysUnderTheLaunchBound) {
+  // Heap allocations per launch, whole 1F1B step included: schedule,
+  // bucketed sync, update and bookkeeping. A remote-stage caching-allocator
+  // block and a TP shard reservation allocate nothing once warm; what is
+  // left is mostly the Buffer handle of each temporary tensor and kernel
+  // names longer than the small-string buffer, about 2.38 per launch with
+  // libstdc++. One more heap node per tensor or per launch breaks this.
+  constexpr double kMaxAllocsPerLaunch = 2.5;
+  const TrainCounts c = count_pipelined_train_steps();
+
+  ASSERT_GT(c.launches, 0);
+  EXPECT_EQ(c.host_launches, c.launches) << "every launch of an eager step is a host launch";
+  EXPECT_EQ(c.remote_misses, 0) << "the warm-up passes saw every batch shape";
+  const double per_launch = static_cast<double>(c.allocations) / static_cast<double>(c.launches);
+  std::printf("%lld allocations over 8 model-only tp2 x pp2 train steps, %lld launches: "
+              "%.3f per launch\n",
+              static_cast<long long>(c.allocations), static_cast<long long>(c.launches),
+              per_launch);
+  EXPECT_LE(per_launch, kMaxAllocsPerLaunch);
+}
+
+TEST(AllocCountTest, WarmCachingAllocatorHitAndFreeAllocateNothing) {
+  // Sizes on both sides of the 1 MB small/large boundary (1 MB itself is
+  // a 2 MB bucket), each freed block re-served by a same-size request or a
+  // smaller one within the 2x waste cap. Warm-up runs both kinds of round
+  // twice, so the cache holds a block for every request and the free bins
+  // and the live table have grown.
+  simgpu::Device dev(simgpu::a100(), simgpu::ExecMode::kModelOnly);
+  mem::CachingAllocator alloc(dev, mem::DeviceAllocator::Backing::kVirtual);
+  const size_t sizes[] = {512, 1000, 64 << 10, (1 << 20) - 100, 1 << 20, 3 << 20, 40 << 20};
+  std::vector<void*> held;
+  auto round = [&](size_t shrink) {
+    for (size_t bytes : sizes) held.push_back(alloc.allocate(bytes - bytes / shrink));
+    for (size_t i = 0; i < held.size(); ++i) alloc.deallocate(held[i], 0);
+    held.clear();
+  };
+  held.reserve(std::size(sizes));
+  for (int i = 0; i < 4; ++i) round(/*shrink=*/i % 2 == 0 ? 1u << 30 : 4);
+  const int64_t misses = alloc.cache_misses(), hits = alloc.cache_hits();
+  const int64_t allocs_before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) round(/*shrink=*/i % 2 == 0 ? 1u << 30 : 4);
+  EXPECT_EQ(g_allocations.load() - allocs_before, 0);
+  EXPECT_EQ(alloc.cache_misses(), misses) << "every counted request is a hit";
+  EXPECT_EQ(alloc.cache_hits() - hits, 100 * static_cast<int64_t>(std::size(sizes)));
+}
+
+}  // namespace
+}  // namespace ls2::core

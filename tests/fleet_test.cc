@@ -667,5 +667,37 @@ TEST(FleetTest, FailedAdmissionPrefillFreesItsLane) {
   }
 }
 
+TEST(FleetTest, FailedAdmissionPrefillLeavesNoAdmissionTime) {
+  // The attempt whose prefill failed did not admit the request: the fleet
+  // reports the admission whose prefill produced the first token, so from
+  // admission to first token is one prefill of that prompt, exactly as in
+  // an unfaulted run of the same requests.
+  const auto reqs = infer::poisson_requests(16, /*rate=*/20000.0, 3, 9, 20, 30,
+                                            fleet_gpt2().vocab, 5);
+  auto run = [&](bool fault) {
+    infer::FleetConfig fc = fleet_config(2, simgpu::ExecMode::kModelOnly);
+    fc.session.graph_capture = true;
+    fc.fault_plans.resize(2);
+    if (fault)
+      fc.fault_plans[0].add(FaultPlan::alloc_fail(/*step=*/2, /*count=*/1, "serve.prefill"));
+    infer::Fleet fleet(fc);
+    return fleet.run(reqs);
+  };
+  const infer::FleetReport clean = run(false);
+  const infer::FleetReport faulted = run(true);
+  ASSERT_EQ(faulted.quarantines, 1);
+  ASSERT_EQ(faulted.served, static_cast<int64_t>(reqs.size()));
+  ASSERT_EQ(clean.served, static_cast<int64_t>(reqs.size()));
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const infer::RequestStats& f = faulted.requests[i];
+    const infer::RequestStats& c = clean.requests[i];
+    ASSERT_GT(f.admitted_us, 0) << "request " << f.id;
+    EXPECT_GE(f.admitted_us, f.arrival_us) << "request " << f.id;
+    // The clocks differ between the runs, so the differences round apart.
+    EXPECT_NEAR(f.first_token_us - f.admitted_us, c.first_token_us - c.admitted_us, 1e-6)
+        << "request " << f.id;
+  }
+}
+
 }  // namespace
 }  // namespace ls2

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "memory/arena_allocator.h"
@@ -106,6 +107,159 @@ TEST_F(CachingAllocatorTest, ReleaseCachedFreesDeviceMemory) {
 TEST_F(CachingAllocatorTest, SimulatedOom) {
   CachingAllocator alloc(dev);  // generic profile: 16 GB
   EXPECT_THROW(alloc.allocate(size_t{20} << 30), OutOfMemory);
+}
+
+TEST_F(CachingAllocatorTest, UnknownOrDoubleFreedBlockThrows) {
+  CachingAllocator alloc(dev);
+  int never_allocated = 0;
+  EXPECT_THROW(alloc.deallocate(&never_allocated, 4), Error) << "empty live table";
+  void* small = alloc.allocate(1000);
+  void* large = alloc.allocate(3 << 20);
+  EXPECT_THROW(alloc.deallocate(&never_allocated, 4), Error) << "never allocated";
+  alloc.deallocate(small, 1000);
+  EXPECT_THROW(alloc.deallocate(small, 1000), Error) << "double free of a small block";
+  EXPECT_EQ(alloc.bytes_in_use(), 4 << 20) << "a rejected free changes nothing";
+  alloc.deallocate(large, 3 << 20);
+  EXPECT_THROW(alloc.deallocate(large, 3 << 20), Error) << "double free of a large block";
+  EXPECT_EQ(alloc.bytes_in_use(), 0);
+  EXPECT_EQ(alloc.cached_bytes(), (4 << 20) + 1024);
+}
+
+/// The caching allocator as first written: a multimap free list and an
+/// unordered_map live table. The property test below holds the binned
+/// allocator to its decisions and accounting.
+class ReferenceCachingAllocator final : public DeviceAllocator {
+ public:
+  using DeviceAllocator::DeviceAllocator;
+  ~ReferenceCachingAllocator() override { release_cached(); }
+
+  void* allocate(size_t bytes) override {
+    const size_t bucket = round_bucket(bytes);
+    auto it = free_blocks_.lower_bound(bucket);
+    if (it != free_blocks_.end() && it->first <= bucket * 2) {
+      void* ptr = it->second;
+      const size_t got = it->first;
+      free_blocks_.erase(it);
+      cached_bytes_ -= static_cast<int64_t>(got);
+      ++hits_;
+      device_.charge_alloc(/*cache_hit=*/true);
+      note_usage(static_cast<int64_t>(got));
+      live_blocks_.emplace(ptr, got);
+      return ptr;
+    }
+    ++misses_;
+    void* ptr = device_malloc(bucket);
+    note_usage(static_cast<int64_t>(bucket));
+    live_blocks_.emplace(ptr, bucket);
+    return ptr;
+  }
+  void deallocate(void* ptr, size_t) override {
+    auto it = live_blocks_.find(ptr);
+    LS2_CHECK(it != live_blocks_.end()) << "reference: unknown block " << ptr;
+    const size_t size = it->second;
+    live_blocks_.erase(it);
+    free_blocks_.emplace(size, ptr);
+    cached_bytes_ += static_cast<int64_t>(size);
+    note_usage(-static_cast<int64_t>(size));
+  }
+  const char* name() const override { return "reference-caching"; }
+
+  void release_cached() {
+    for (auto& [size, ptr] : free_blocks_) device_free(ptr, size);
+    free_blocks_.clear();
+    cached_bytes_ = 0;
+  }
+  int64_t cached_bytes() const { return cached_bytes_; }
+  int64_t cache_hits() const { return hits_; }
+  int64_t cache_misses() const { return misses_; }
+
+ private:
+  static size_t round_bucket(size_t bytes) {
+    constexpr size_t kSmallGranule = 512;
+    constexpr size_t kLargeGranule = 2u << 20;
+    if (bytes == 0) return kSmallGranule;
+    if (bytes < (1u << 20)) return (bytes + kSmallGranule - 1) / kSmallGranule * kSmallGranule;
+    return (bytes + kLargeGranule - 1) / kLargeGranule * kLargeGranule;
+  }
+
+  std::multimap<size_t, void*> free_blocks_;
+  std::unordered_map<void*, size_t> live_blocks_;
+  int64_t cached_bytes_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+};
+
+TEST_F(CachingAllocatorTest, RandomSequencesMatchTheReferenceMultimap) {
+  constexpr size_t kMB = size_t{1} << 20;
+  int64_t small_from_large = 0;  // small requests served by the 2 MB bin
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    std::mt19937_64 rng(seed);
+    // Own devices, so each side's clock and stall time are its own.
+    Device dev_a(simgpu::generic(), ExecMode::kModelOnly);
+    Device dev_b(simgpu::generic(), ExecMode::kModelOnly);
+    CachingAllocator alloc(dev_a, DeviceAllocator::Backing::kVirtual);
+    ReferenceCachingAllocator ref(dev_b, DeviceAllocator::Backing::kVirtual);
+
+    struct Live {
+      void* ptr;
+      void* ref_ptr;
+      size_t bytes;
+    };
+    std::vector<Live> live;
+    for (int op = 0; op < 3000; ++op) {
+      const uint64_t dice = rng() % 1000;
+      if (dice < 5) {
+        alloc.release_cached();
+        ref.release_cached();
+      } else if (live.empty() || dice < 550) {
+        // Small sizes, exact bucket multiples, sizes just below and above
+        // 1 MB (whose 2x cap reaches the 2 MB bin), and large sizes.
+        size_t bytes = 0;
+        switch (rng() % 5) {
+          case 0: bytes = rng() % (64 << 10); break;
+          case 1: bytes = 512 * (1 + rng() % 2048); break;
+          case 2: bytes = kMB - 4096 + rng() % 8192; break;
+          case 3: bytes = kMB + rng() % (24 * kMB); break;
+          default: bytes = 2 * kMB * (1 + rng() % 12); break;
+        }
+        const int64_t misses_before = alloc.cache_misses();
+        const int64_t in_use_before = alloc.bytes_in_use();
+        live.push_back({alloc.allocate(bytes), ref.allocate(bytes), bytes});
+        if (bytes < kMB && alloc.cache_misses() == misses_before &&
+            alloc.bytes_in_use() - in_use_before == static_cast<int64_t>(2 * kMB))
+          ++small_from_large;
+      } else {
+        const size_t i = rng() % live.size();
+        const Live l = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        alloc.deallocate(l.ptr, l.bytes);
+        ref.deallocate(l.ref_ptr, l.bytes);
+      }
+      ASSERT_EQ(alloc.cache_hits(), ref.cache_hits()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(alloc.cache_misses(), ref.cache_misses()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(alloc.bytes_in_use(), ref.bytes_in_use()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(alloc.cached_bytes(), ref.cached_bytes()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(alloc.peak_bytes(), ref.peak_bytes()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(alloc.device_malloc_count(), ref.device_malloc_count())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(alloc.device_free_count(), ref.device_free_count())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(dev_a.stats().alloc_stall_us, dev_b.stats().alloc_stall_us)
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(dev_a.stats().alloc_events, dev_b.stats().alloc_events)
+          << "seed " << seed << " op " << op;
+    }
+    EXPECT_GT(alloc.cache_hits(), 500) << "seed " << seed;
+    EXPECT_GT(alloc.cache_misses(), 50) << "seed " << seed;
+    for (const Live& l : live) {
+      alloc.deallocate(l.ptr, l.bytes);
+      ref.deallocate(l.ref_ptr, l.bytes);
+    }
+    EXPECT_EQ(alloc.bytes_in_use(), 0);
+    EXPECT_EQ(alloc.cached_bytes(), ref.cached_bytes());
+  }
+  EXPECT_GT(small_from_large, 0) << "no sub-1 MB request crossed into the 2 MB bin";
 }
 
 class ArenaAllocatorTest : public ::testing::Test {

@@ -590,6 +590,45 @@ TEST(TpMemoryTest, AllocShardReservesOneShardFromTheDeviceAllocator) {
   (void)u;
 }
 
+// core::capacity_scan never ends its step: its probe context is destroyed
+// with the step's shard reservations still taken, and must hand every byte
+// back to the allocator each was taken from.
+TEST(TpMemoryTest, DestroyedContextReturnsItsShardReservations) {
+  dist::ProcessGroup pg(tp_cluster(2));
+  {
+    simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kModelOnly);
+    mem::MeasuringAllocator stage0, stage1;
+    {
+      layers::LayerContext ctx(dev, &stage0, layers::policy_for(System::kLightSeq2), 1);
+      ctx.tp_group = &pg;
+      (void)ctx.alloc_shard({256, 4}, DType::kF32);
+      ctx.set_activation_allocator(&stage1);  // a pipeline stage boundary
+      (void)ctx.alloc_shard({64, 4}, DType::kF32);
+      EXPECT_EQ(stage0.bytes_in_use(), 2048);
+      EXPECT_EQ(stage1.bytes_in_use(), 512);
+    }
+    EXPECT_EQ(stage0.bytes_in_use(), 0);
+    EXPECT_EQ(stage1.bytes_in_use(), 0);
+  }
+
+  // A whole tp2 forward + backward, as the capacity scan probes it.
+  simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kModelOnly);
+  mem::MeasuringAllocator params, probe;
+  models::TransformerConfig cfg = small_mt_config();
+  cfg.tp.size = 2;
+  cfg.tp.simulate_peers = false;
+  {
+    layers::LayerContext ctx(dev, &probe, layers::policy_for(System::kLightSeq2), 3);
+    ctx.tp_group = &pg;
+    models::Transformer model(cfg, System::kLightSeq2, DType::kF32, 21, &params);
+    model.params().zero_grads();
+    model.forward(ctx, small_mt_batch());
+    model.backward(ctx);
+    EXPECT_GT(probe.bytes_in_use(), 0) << "the step's shard reservations are still taken";
+  }
+  EXPECT_EQ(probe.bytes_in_use(), 0);
+}
+
 layers::EmbeddingConfig small_embedding_config(dist::TpRuntime* tp) {
   layers::EmbeddingConfig ec;
   ec.vocab = 16;
