@@ -4,8 +4,11 @@
 #   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|tp|pp|fault|fleet|obs|paged]
 #
 #   --preset release   Release build with -Werror (default). Runs the full
-#                      test suite, smoke-runs every fig* bench, and
-#                      schema-checks the machine-readable JSON outputs.
+#                      test suite, smoke-runs every fig* bench,
+#                      schema-checks the machine-readable JSON outputs, and
+#                      runs the perfbench self-test on mt_small_exec (builds
+#                      perfbench; same-seed determinism of the executed
+#                      path, train loss included).
 #   --preset sanitize  Debug build under ASan+UBSan (halt on first report).
 #                      Tests only — the analytic benches add nothing under a
 #                      sanitizer but cost minutes.
@@ -181,6 +184,8 @@ else
     "$bench" >/dev/null
   done
   python3 ../ci/check_bench_json.py fig22 fig_launch_graph fig_serve fig_tp fig_3d fig_fault fig_fleet fig_obs fig_page
+  echo "ci.sh: perfbench self-test on mt_small_exec"
+  (cd .. && python3 perfbench/run.py --selftest --workload mt_small_exec)
 fi
 
 echo "ci.sh: all checks passed"

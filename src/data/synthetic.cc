@@ -46,10 +46,15 @@ std::vector<int32_t> MtDataset::target(int64_t i) const {
 
 std::vector<models::MtBatch> make_mt_batches(const MtDataset& ds, int64_t max_tokens,
                                              DType /*dtype_unused*/, int seq_multiple) {
-  std::vector<int64_t> order(static_cast<size_t>(ds.size()));
+  // Each length is a normal draw: draw it once per sentence, not once per
+  // comparison. The comparisons, and so the permutation, are unchanged.
+  std::vector<int64_t> lengths(static_cast<size_t>(ds.size()));
+  for (size_t i = 0; i < lengths.size(); ++i) lengths[i] = ds.length(static_cast<int64_t>(i));
+  std::vector<int64_t> order(lengths.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int64_t a, int64_t b) { return ds.length(a) < ds.length(b); });
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return lengths[static_cast<size_t>(a)] < lengths[static_cast<size_t>(b)];
+  });
 
   auto round_up = [&](int64_t len) {
     const int64_t m = std::max(1, seq_multiple);
@@ -63,7 +68,8 @@ std::vector<models::MtBatch> make_mt_batches(const MtDataset& ds, int64_t max_to
     size_t j = i;
     int64_t max_len = 0;
     while (j < order.size()) {
-      const int64_t cand_len = round_up(ds.length(order[j]) + 1);  // +1 for BOS/EOS shift
+      // +1 for the BOS/EOS shift.
+      const int64_t cand_len = round_up(lengths[static_cast<size_t>(order[j])] + 1);
       const int64_t rows = static_cast<int64_t>(j - i + 1);
       if (rows * std::max(max_len, cand_len) > max_tokens && j > i) break;
       max_len = std::max(max_len, cand_len);

@@ -75,8 +75,11 @@ void add_bias(KernelContext& kc, const Tensor& x, const Tensor& bias, const Tens
           const T* xp = x.data<T>();
           const T* bp = bias.data<T>();
           T* yp = y.data<T>();
-          parallel_for(0, rows * cols, [&](int64_t i) {
-            yp[i] = T(static_cast<float>(xp[i]) + static_cast<float>(bp[i % cols]));
+          parallel_for(0, rows, cols, [&](int64_t r) {
+            const T* xr = xp + r * cols;
+            T* yr = yp + r * cols;
+            for (int64_t j = 0; j < cols; ++j)
+              yr[j] = T(static_cast<float>(xr[j]) + static_cast<float>(bp[j]));
           });
         });
       });
@@ -199,19 +202,20 @@ void bias_act_dropout_body(const Tensor& x, const Tensor& bias, const Tensor& y,
                            const Tensor& mask, float p, const Rng& rng, uint64_t stream,
                            uint64_t index_offset, Act act) {
   const Shape flat = x.shape().flatten_2d();
-  const int64_t cols = flat[1];
+  const int64_t rows = flat[0], cols = flat[1];
   const float keep_scale = 1.0f / (1.0f - p);
   const T* xp = x.data<T>();
   const T* bp = bias.data<T>();
   T* yp = y.data<T>();
   uint8_t* mp = mask.data<uint8_t>();
-  parallel_for(0, x.numel(), [&](int64_t i) {
-    const float v =
-        act(static_cast<float>(xp[i]) + static_cast<float>(bp[i % cols]));
-    const uint8_t keep =
-        rng.uniform(stream, index_offset + static_cast<uint64_t>(i)) >= p ? 1 : 0;
-    mp[i] = keep;
-    yp[i] = T(keep ? v * keep_scale : 0.0f);
+  parallel_for(0, rows, cols, [&](int64_t r) {
+    for (int64_t i = r * cols, j = 0; j < cols; ++i, ++j) {
+      const float v = act(static_cast<float>(xp[i]) + static_cast<float>(bp[j]));
+      const uint8_t keep =
+          rng.uniform(stream, index_offset + static_cast<uint64_t>(i)) >= p ? 1 : 0;
+      mp[i] = keep;
+      yp[i] = T(keep ? v * keep_scale : 0.0f);
+    }
   });
 }
 
@@ -219,17 +223,19 @@ template <typename T, typename ActGrad>
 void bias_act_dropout_bw_body(const Tensor& dy, const Tensor& mask, const Tensor& x,
                               const Tensor& bias, const Tensor& dx, float p, ActGrad dact) {
   const Shape flat = x.shape().flatten_2d();
-  const int64_t cols = flat[1];
+  const int64_t rows = flat[0], cols = flat[1];
   const float keep_scale = 1.0f / (1.0f - p);
   const T* dyp = dy.data<T>();
   const T* xp = x.data<T>();
   const T* bp = bias.data<T>();
   const uint8_t* mp = mask.data<uint8_t>();
   T* dxp = dx.data<T>();
-  parallel_for(0, x.numel(), [&](int64_t i) {
-    const float pre = static_cast<float>(xp[i]) + static_cast<float>(bp[i % cols]);
-    const float g = mp[i] ? static_cast<float>(dyp[i]) * keep_scale : 0.0f;
-    dxp[i] = T(g * dact(pre));
+  parallel_for(0, rows, cols, [&](int64_t r) {
+    for (int64_t i = r * cols, j = 0; j < cols; ++i, ++j) {
+      const float pre = static_cast<float>(xp[i]) + static_cast<float>(bp[j]);
+      const float g = mp[i] ? static_cast<float>(dyp[i]) * keep_scale : 0.0f;
+      dxp[i] = T(g * dact(pre));
+    }
   });
 }
 }  // namespace
@@ -296,12 +302,12 @@ void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& 
   LS2_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
   LS2_CHECK_EQ(x.numel(), residual.numel());
   const Shape flat = x.shape().flatten_2d();
-  const int64_t cols = flat[1];
+  const int64_t rows = flat[0], cols = flat[1];
   LS2_CHECK_EQ(bias.numel(), cols);
   kc.dev.launch(
       ew_desc("ls2.bias_dropout_residual_fw", x.bytes() + bias.bytes() + residual.bytes(),
               y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
-      [&, p, stream, cols, mb_off = kc.microbatch * static_cast<uint64_t>(x.numel())] {
+      [&, p, stream, rows, cols, mb_off = kc.microbatch * static_cast<uint64_t>(x.numel())] {
         LS2_DISPATCH_FLOAT(x.dtype(), T, {
           const float keep_scale = 1.0f / (1.0f - p);
           const T* xp = x.data<T>();
@@ -309,12 +315,14 @@ void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& 
           const T* rp = residual.data<T>();
           T* yp = y.data<T>();
           uint8_t* mp = mask.data<uint8_t>();
-          parallel_for(0, x.numel(), [&](int64_t i) {
-            const float v = static_cast<float>(xp[i]) + static_cast<float>(bp[i % cols]);
-            const uint8_t keep =
-                kc.rng.uniform(stream, mb_off + static_cast<uint64_t>(i)) >= p ? 1 : 0;
-            mp[i] = keep;
-            yp[i] = T(static_cast<float>(rp[i]) + (keep ? v * keep_scale : 0.0f));
+          parallel_for(0, rows, cols, [&](int64_t r) {
+            for (int64_t i = r * cols, j = 0; j < cols; ++i, ++j) {
+              const float v = static_cast<float>(xp[i]) + static_cast<float>(bp[j]);
+              const uint8_t keep =
+                  kc.rng.uniform(stream, mb_off + static_cast<uint64_t>(i)) >= p ? 1 : 0;
+              mp[i] = keep;
+              yp[i] = T(static_cast<float>(rp[i]) + (keep ? v * keep_scale : 0.0f));
+            }
           });
         });
       });

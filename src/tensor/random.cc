@@ -4,26 +4,6 @@
 
 namespace ls2 {
 
-namespace {
-// splitmix64 finaliser: good avalanche, cheap, stateless.
-inline uint64_t mix(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-}  // namespace
-
-uint64_t Rng::bits(uint64_t stream, uint64_t index) const {
-  // Two rounds decorrelate (stream, index) pairs that differ in one word.
-  return mix(mix(seed_ ^ (stream * 0xd1342543de82ef95ull)) ^ index);
-}
-
-float Rng::uniform(uint64_t stream, uint64_t index) const {
-  // Use the top 24 bits for a dyadic rational in [0,1).
-  return static_cast<float>(bits(stream, index) >> 40) * (1.0f / 16777216.0f);
-}
-
 float Rng::normal(uint64_t stream, uint64_t index) const {
   // Box–Muller; draw two independent uniforms from disjoint sub-streams.
   const float u1 = uniform(stream * 2 + 1, index);

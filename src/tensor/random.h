@@ -21,11 +21,18 @@ class Rng {
 
   uint64_t seed() const { return seed_; }
 
-  /// Raw 64 random bits for (stream, index).
-  uint64_t bits(uint64_t stream, uint64_t index) const;
+  /// Raw 64 random bits for (stream, index). Inline, so a loop over
+  /// indices of one stream computes the stream's hash once.
+  uint64_t bits(uint64_t stream, uint64_t index) const {
+    // Two rounds decorrelate (stream, index) pairs that differ in one word.
+    return mix(mix(seed_ ^ (stream * 0xd1342543de82ef95ull)) ^ index);
+  }
 
   /// Uniform float in [0, 1).
-  float uniform(uint64_t stream, uint64_t index) const;
+  float uniform(uint64_t stream, uint64_t index) const {
+    // Use the top 24 bits for a dyadic rational in [0,1).
+    return static_cast<float>(bits(stream, index) >> 40) * (1.0f / 16777216.0f);
+  }
 
   /// Standard normal via Box–Muller on two counter draws.
   float normal(uint64_t stream, uint64_t index) const;
@@ -40,6 +47,14 @@ class Rng {
   void fill_randint(const Tensor& t, uint64_t stream, int64_t lo, int64_t hi) const;
 
  private:
+  // splitmix64 finaliser: good avalanche, cheap, stateless.
+  static uint64_t mix(uint64_t z) {
+    z += 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
   uint64_t seed_;
 };
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "layers/layer_context.h"
 
@@ -100,6 +103,44 @@ TEST(MtBatcherTest, SeqMultiplePadsLikeDeepSpeed) {
   for (const auto& b : batches) padded_elems += b.tgt_in.numel();
   for (const auto& b : exact) exact_elems += b.tgt_in.numel();
   EXPECT_GT(padded_elems, exact_elems) << "padding must cost extra tokens";
+}
+
+// The batcher draws each sentence length once; the batches must be the ones
+// that sorting with ds.length() on both sides of every comparison built:
+// the same sentences in the same order, packed into the same shapes.
+TEST(MtBatcherTest, MatchesBatchesSortedByPerComparisonLengths) {
+  MtDataset ds(64, 3000, 4, 48, 17);
+  const int64_t max_tokens = 1024;
+  std::vector<int64_t> order(static_cast<size_t>(ds.size()));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int64_t a, int64_t b) { return ds.length(a) < ds.length(b); });
+  const auto batches = make_mt_batches(ds, max_tokens, DType::kF32);
+  size_t next = 0;
+  for (const auto& batch : batches) {
+    // The greedy packing rule, applied to the reference order.
+    size_t end = next;
+    int64_t max_len = 0;
+    while (end < order.size()) {
+      const int64_t len = ds.length(order[end]) + 1;
+      const int64_t rows = static_cast<int64_t>(end - next + 1);
+      if (rows * std::max(max_len, len) > max_tokens && end > next) break;
+      max_len = std::max(max_len, len);
+      ++end;
+    }
+    const int64_t B = batch.src_ids.shape()[0], L = batch.src_ids.shape()[1];
+    ASSERT_EQ(B, static_cast<int64_t>(end - next));
+    ASSERT_EQ(L, max_len);
+    const auto src = batch.src_ids.to_vector();
+    for (int64_t r = 0; r < B; ++r) {
+      const auto want = ds.source(order[next + static_cast<size_t>(r)]);
+      for (size_t j = 0; j < want.size(); ++j)
+        ASSERT_EQ(static_cast<int32_t>(src[static_cast<size_t>(r * L) + j]), want[j])
+            << "row " << next + static_cast<size_t>(r);
+    }
+    next = end;
+  }
+  EXPECT_EQ(next, order.size());
 }
 
 TEST(LmDatasetTest, TargetsAreNextTokens) {

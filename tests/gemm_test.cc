@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -170,23 +172,34 @@ Operands<T> contract_operands(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
   return ops;
 }
 
-void call_gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha, const float* a,
-               const float* b, float beta, float* c) {
-  sgemm(ta, tb, m, n, k, alpha, a, b, beta, c);
+// Every ISA variant of the host GEMM this machine can run.
+std::vector<detail::Isa> host_isas() {
+  std::vector<detail::Isa> isas;
+  for (const auto isa : {detail::Isa::kBaseline, detail::Isa::kAvx2, detail::Isa::kAvx512})
+    if (detail::isa_supported(isa)) isas.push_back(isa);
+  return isas;
 }
-void call_gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha, const Half* a,
-               const Half* b, float beta, Half* c) {
-  hgemm(ta, tb, m, n, k, alpha, a, b, beta, c);
+
+const char* isa_name(detail::Isa isa) {
+  switch (isa) {
+    case detail::Isa::kAvx512: return "avx512";
+    case detail::Isa::kAvx2: return "avx2";
+    case detail::Isa::kBaseline: return "baseline";
+  }
+  return "?";
 }
-void call_batched(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
-                  const float* a, int64_t sa, const float* b, int64_t sb, float beta, float* c,
+
+template <typename T>
+void call_gemm(detail::Isa isa, bool ta, bool tb, int64_t m, int64_t n, int64_t k,
+               float alpha, const T* a, const T* b, float beta, T* c) {
+  detail::gemm(isa, ta, tb, m, n, k, alpha, a, b, beta, c);
+}
+
+template <typename T>
+void call_batched(detail::Isa isa, bool ta, bool tb, int64_t m, int64_t n, int64_t k,
+                  float alpha, const T* a, int64_t sa, const T* b, int64_t sb, float beta, T* c,
                   int64_t sc, int64_t batch) {
-  sgemm_strided_batched(ta, tb, m, n, k, alpha, a, sa, b, sb, beta, c, sc, batch);
-}
-void call_batched(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
-                  const Half* a, int64_t sa, const Half* b, int64_t sb, float beta, Half* c,
-                  int64_t sc, int64_t batch) {
-  hgemm_strided_batched(ta, tb, m, n, k, alpha, a, sa, b, sb, beta, c, sc, batch);
+  detail::gemm_strided_batched(isa, ta, tb, m, n, k, alpha, a, sa, b, sb, beta, c, sc, batch);
 }
 
 template <typename T>
@@ -194,9 +207,11 @@ bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
   return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
+// The dims straddle every variant's tile edges: kMR 4 or 8, kNR 8 or 16
+// (kMR +- 1, kNR +- 1, 2 kNR +- 1).
 template <typename T>
 void check_contract_sweep(int64_t k) {
-  const int64_t dims[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33};
+  const int64_t dims[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33};
   const std::pair<float, float> scales[] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {1.0f, 0.25f},
                                             {0.5f, 0.0f}, {0.5f, 1.0f}, {0.5f, 0.25f}};
   for (const bool ta : {false, true}) {
@@ -205,13 +220,17 @@ void check_contract_sweep(int64_t k) {
         for (const int64_t n : dims) {
           const auto ops = contract_operands<T>(ta, tb, m, n, k, static_cast<uint64_t>(m * n));
           for (const auto& [alpha, beta] : scales) {
-            std::vector<T> got = ops.c, want = ops.c;
-            call_gemm(ta, tb, m, n, k, alpha, ops.a.data(), ops.b.data(), beta, got.data());
+            std::vector<T> want = ops.c;
             contract_gemm(ta, tb, m, n, k, alpha, ops.a.data(), ops.b.data(), beta,
                           want.data());
-            ASSERT_TRUE(same_bytes(got, want))
-                << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n << " k=" << k
-                << " alpha=" << alpha << " beta=" << beta;
+            for (const auto isa : host_isas()) {
+              std::vector<T> got = ops.c;
+              call_gemm(isa, ta, tb, m, n, k, alpha, ops.a.data(), ops.b.data(), beta,
+                        got.data());
+              ASSERT_TRUE(same_bytes(got, want))
+                  << isa_name(isa) << " ta=" << ta << " tb=" << tb << " m=" << m
+                  << " n=" << n << " k=" << k << " alpha=" << alpha << " beta=" << beta;
+            }
           }
         }
       }
@@ -235,10 +254,14 @@ void check_contract_large() {
     for (const bool tb : {false, true}) {
       const auto ops = contract_operands<T>(ta, tb, m, n, k, 99);
       for (const float beta : {0.0f, 1.0f, 0.25f}) {
-        std::vector<T> got = ops.c, want = ops.c;
-        call_gemm(ta, tb, m, n, k, 0.5f, ops.a.data(), ops.b.data(), beta, got.data());
+        std::vector<T> want = ops.c;
         contract_gemm(ta, tb, m, n, k, 0.5f, ops.a.data(), ops.b.data(), beta, want.data());
-        ASSERT_TRUE(same_bytes(got, want)) << "ta=" << ta << " tb=" << tb << " beta=" << beta;
+        for (const auto isa : host_isas()) {
+          std::vector<T> got = ops.c;
+          call_gemm(isa, ta, tb, m, n, k, 0.5f, ops.a.data(), ops.b.data(), beta, got.data());
+          ASSERT_TRUE(same_bytes(got, want))
+              << isa_name(isa) << " ta=" << ta << " tb=" << tb << " beta=" << beta;
+        }
       }
     }
   }
@@ -265,15 +288,18 @@ void check_contract_batched(int64_t m, int64_t n, int64_t k, int64_t batch) {
         std::copy(ops.c.begin(), ops.c.end(), c.begin() + i * sc);
       }
       for (const float beta : {0.0f, 1.0f, 0.25f}) {
-        std::vector<T> got = c, want = c;
-        call_batched(ta, tb, m, n, k, 0.5f, a.data(), sa, b.data(), sb, beta, got.data(), sc,
-                     batch);
+        std::vector<T> want = c;
         for (int64_t i = 0; i < batch; ++i)
           contract_gemm(ta, tb, m, n, k, 0.5f, a.data() + i * sa, b.data() + i * sb, beta,
                         want.data() + i * sc);
-        ASSERT_TRUE(same_bytes(got, want))
-            << "ta=" << ta << " tb=" << tb << " m=" << m << " batch=" << batch
-            << " beta=" << beta;
+        for (const auto isa : host_isas()) {
+          std::vector<T> got = c;
+          call_batched(isa, ta, tb, m, n, k, 0.5f, a.data(), sa, b.data(), sb, beta,
+                       got.data(), sc, batch);
+          ASSERT_TRUE(same_bytes(got, want))
+              << isa_name(isa) << " ta=" << ta << " tb=" << tb << " m=" << m
+              << " batch=" << batch << " beta=" << beta;
+        }
       }
     }
   }
@@ -293,11 +319,13 @@ TEST(GemmContractTest, StridedBatchedWithSharedCRunsInOrder) {
     contract_gemm(false, false, m, n, k, 1.0f, a.data() + i * m * k, b.data() + i * k * n,
                   1.0f, want.data());
   // Back-to-back calls, so the pool's workers are awake and would race.
-  for (int rep = 0; rep < 5; ++rep) {
-    std::vector<Half> got = c0;
-    hgemm_strided_batched(false, false, m, n, k, 1.0f, a.data(), m * k, b.data(), k * n,
-                          1.0f, got.data(), 0, batch);
-    ASSERT_TRUE(same_bytes(got, want)) << "rep " << rep;
+  for (const auto isa : host_isas()) {
+    for (int rep = 0; rep < 5; ++rep) {
+      std::vector<Half> got = c0;
+      call_batched(isa, false, false, m, n, k, 1.0f, a.data(), m * k, b.data(), k * n, 1.0f,
+                   got.data(), 0, batch);
+      ASSERT_TRUE(same_bytes(got, want)) << isa_name(isa) << " rep " << rep;
+    }
   }
 }
 
@@ -309,6 +337,81 @@ TEST(GemmContractTest, StridedBatchedMatchesContractBitwise) {
   check_contract_batched<Half>(48, 32, 48, batch);
   // Fewer batches than threads: each GEMM splits its own tiles instead.
   check_contract_batched<Half>(130, 64, 257, 2);
+}
+
+// Every B value finite, so the only reason to keep skipping zero terms is
+// -0 among the start values: beta == 1 keeps C's -0, and beta * C is -0 for
+// C = -0. A zero term added to a -0 accumulator would turn it into +0.
+TEST(GemmContractTest, NegativeZeroStartWithFiniteBMatchesContractBitwise) {
+  const int64_t m = 33, n = 40, k = 17;
+  const Rng rng(11);
+  std::vector<Half> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(k * n)),
+      c(static_cast<size_t>(m * n));
+  for (size_t i = 0; i < a.size(); ++i) {
+    const bool zero = rng.uniform(1, i) < 0.5f || i / static_cast<size_t>(k) % 3 == 0;
+    a[i] = Half(zero ? (rng.uniform(2, i) < 0.5f ? -0.0f : 0.0f) : rng.normal(3, i));
+  }
+  for (size_t i = 0; i < b.size(); ++i) b[i] = Half(rng.normal(4, i));
+  for (size_t i = 0; i < c.size(); ++i) c[i] = Half(i % 2 == 0 ? -0.0f : rng.normal(5, i));
+  for (const float beta : {1.0f, 0.25f}) {
+    std::vector<Half> want = c;
+    contract_gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), beta, want.data());
+    // Rows of zeros leave their -0 start values in place.
+    ASSERT_EQ(want[0].bits, 0x8000u);
+    for (const auto isa : host_isas()) {
+      std::vector<Half> got = c;
+      call_gemm(isa, false, false, m, n, k, 1.0f, a.data(), b.data(), beta, got.data());
+      ASSERT_TRUE(same_bytes(got, want)) << isa_name(isa) << " beta=" << beta;
+    }
+  }
+}
+
+// Every half bit pattern as A (and, transposed, as B) against a row of
+// finite values, with k = 1: each C element is one widened product, added
+// to 0 or to C, and narrowed. Covers subnormals, Inf, NaN and -0 in both
+// conversions and in the zero-term rule.
+TEST(GemmContractTest, HgemmMatchesContractOnEveryHalf) {
+  const int64_t all = 65536, row = 16;
+  std::vector<Half> every(static_cast<size_t>(all));
+  for (int64_t i = 0; i < all; ++i)
+    every[static_cast<size_t>(i)] = Half::from_bits(static_cast<uint16_t>(i));
+  const float values[row] = {1.0f,  -1.0f,     0.5f,   3.0f,     -0.0f,   0.0f,
+                             1e-4f, -6.1e-5f,  2.0e4f, -65504.0f, 0.333f, -7.25f,
+                             1e-7f, 1.5f,      -2.5f,  100.0f};
+  std::vector<Half> fin(row);
+  for (int64_t j = 0; j < row; ++j) fin[static_cast<size_t>(j)] = Half(values[j]);
+  std::vector<Half> c0(static_cast<size_t>(all * row));
+  const Rng rng(12);
+  for (size_t i = 0; i < c0.size(); ++i) c0[i] = Half(rng.normal(1, i));
+  const std::pair<float, float> scales[] = {{1.0f, 0.0f}, {0.5f, 1.0f}};
+  for (const auto& [alpha, beta] : scales) {
+    // A = every half [65536 x 1], B = the finite row [1 x 16].
+    std::vector<Half> want = c0;
+    contract_gemm(false, false, all, row, 1, alpha, every.data(), fin.data(), beta,
+                  want.data());
+    // B = every half [1 x 65536], A = the finite column [16 x 1].
+    std::vector<Half> want_t = c0;
+    contract_gemm(false, false, row, all, 1, alpha, fin.data(), every.data(), beta,
+                  want_t.data());
+    for (const auto isa : host_isas()) {
+      std::vector<Half> got = c0, got_t = c0;
+      call_gemm(isa, false, false, all, row, 1, alpha, every.data(), fin.data(), beta,
+                got.data());
+      call_gemm(isa, false, false, row, all, 1, alpha, fin.data(), every.data(), beta,
+                got_t.data());
+      ASSERT_TRUE(same_bytes(got, want)) << isa_name(isa) << " beta=" << beta;
+      ASSERT_TRUE(same_bytes(got_t, want_t)) << isa_name(isa) << " beta=" << beta;
+    }
+  }
+}
+
+TEST(GemmContractTest, HostRunsItsWidestVariant) {
+  const auto isas = host_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(detail::host_isa(), isas.back());
+  std::string names;
+  for (const auto isa : isas) names += std::string(" ") + isa_name(isa);
+  std::cout << "GEMM variants checked on this host:" << names << "\n";
 }
 
 TEST(UtilizationTest, MonotoneAndClamped) {
